@@ -417,7 +417,11 @@ let scaling () =
       [
         ("est/lct windows", fun () -> ignore (Rtlb.Est_lct.compute sys40 app40));
         ( "bound scan (all resources)",
-          fun () -> ignore (Rtlb.Lower_bound.all ~est:est40 ~lct:lct40 app40) );
+          fun () ->
+            List.iter
+              (fun r ->
+                ignore (Rtlb.Lower_bound.for_resource ~est:est40 ~lct:lct40 app40 r))
+              (Rtlb.App.resource_set app40) );
         ("paper ILP (simplex+b&b)", fun () -> ignore (Lp.Ilp.solve ilp));
       ]
   in
@@ -1254,8 +1258,9 @@ let soa_scaling () =
     "Frame-structured layered DAGs (100-task frames) analysed by the\n\
      packed (Soa) engine on 1 and 4 domains; p50 of 5 repetitions.\n\
      Counters come from one single-domain traced run (deterministic);\n\
-     at sizes up to 10^4 the result is checked against the record\n\
-     engine.  Results land in BENCH_soa.json for the CI perf gate.\n";
+     at sizes up to 10^4 Analysis.run is checked against the record\n\
+     oracle (Est_lct.compute + Lower_bound.for_resource).  Results land\n\
+     in BENCH_soa.json for the CI perf gate.\n";
   let median_of k f =
     let samples = List.init k (fun _ -> snd (Bench_util.time_ms f)) in
     List.nth (List.sort compare samples) (k / 2)
@@ -1288,18 +1293,25 @@ let soa_scaling () =
         let c name = Rtlb_obs.Tracer.counter tracer name in
         let record_ms, identical =
           if n <= 10_000 then begin
-            let soa_res = Rtlb.Soa.analyze system app in
-            let reference, ms =
-              Bench_util.time_ms (fun () -> Rtlb.Analysis.run system app)
+            let soa_res = Rtlb.Analysis.run system app in
+            let (windows, bounds), ms =
+              Bench_util.time_ms (fun () ->
+                  let w = Rtlb.Est_lct.compute system app in
+                  let est = w.Rtlb.Est_lct.est and lct = w.Rtlb.Est_lct.lct in
+                  ( w,
+                    List.map
+                      (Rtlb.Lower_bound.for_resource ~est ~lct app)
+                      (Rtlb.App.resource_set app) ))
             in
             ( Some ms,
               Some
                 (soa_res.Rtlb.Analysis.windows.Rtlb.Est_lct.est
-                 = reference.Rtlb.Analysis.windows.Rtlb.Est_lct.est
+                 = windows.Rtlb.Est_lct.est
                 && soa_res.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
-                   = reference.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
-                && soa_res.Rtlb.Analysis.bounds = reference.Rtlb.Analysis.bounds
-                && soa_res.Rtlb.Analysis.cost = reference.Rtlb.Analysis.cost) )
+                   = windows.Rtlb.Est_lct.lct
+                && soa_res.Rtlb.Analysis.bounds = bounds
+                && soa_res.Rtlb.Analysis.cost
+                   = Rtlb.Cost.compute system app bounds) )
           end
           else (None, None)
         in
@@ -1316,7 +1328,7 @@ let soa_scaling () =
           ];
         (match identical with
         | Some false ->
-            prerr_endline "e14: SoA result diverged from the record engine";
+            prerr_endline "e14: Analysis.run diverged from the record oracle";
             exit 1
         | _ -> ());
         Rtfmt.Json.Obj
@@ -1403,7 +1415,8 @@ let serve_throughput () =
   in
   (* Request templates: field lists so each tenant can stamp its own
      "tenant" field in.  Mixed warm/cold: 4 generated 80-task apps x
-     {record analyze, soa analyze, record whatif} — first touch is a
+     {analyze, analyze with the retired "engine" field (a no-op that
+     shares the first one's warm handle), whatif} — first touch is a
      cold build, repeats hit the warm LRU, and concurrent what-ifs on
      the same text coalesce. *)
   let requests =

@@ -39,7 +39,8 @@ let exit_if_interrupted () =
 let read_appfile path =
   try Ok (Rtfmt.Appfile.parse_file path) with
   | Rtfmt.Appfile.Parse_error (line, msg) ->
-      Error (Printf.sprintf "%s:%d: %s" path line msg)
+      if line > 0 then Error (Printf.sprintf "%s:%d: %s" path line msg)
+      else Error (Printf.sprintf "%s: %s" path msg)
   | Sys_error m -> Error m
 
 (* --jobs N / RTLB_JOBS: domain count for the parallel analysis engine.
@@ -155,20 +156,7 @@ let analyze_cmd =
       & info [ "full" ]
           ~doc:"Full tabular report with criticality and demand profiles.")
   in
-  let engine_arg =
-    let doc =
-      "Analysis engine: $(b,record) walks the per-task records and keeps \
-       merge traces; $(b,soa) packs the instance into flat arrays with \
-       dominance pruning — value-identical results (merge traces empty) \
-       and much faster on large DAGs.  Set RTLB_SOA_NO_PRUNE to disable \
-       pruning within the soa engine."
-    in
-    Arg.(
-      value
-      & opt (enum [ ("record", `Record); ("soa", `Soa) ]) `Record
-      & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
-  let run path override json full jobs timeout trace stats engine =
+  let run path override json full jobs timeout trace stats =
     match read_appfile path with
     | Error e -> `Error (false, e)
     | Ok { Rtfmt.Appfile.app; system } -> (
@@ -179,11 +167,7 @@ let analyze_cmd =
             let tracer = tracer_for ~trace ~stats in
             let analysis =
               with_jobs jobs (fun pool ->
-                  match engine with
-                  | `Record ->
-                      Rtlb.Analysis.run ?pool ?deadline_ns ?tracer system app
-                  | `Soa ->
-                      Rtlb.Soa.analyze ?pool ?deadline_ns ?tracer system app)
+                  Rtlb.Analysis.run ?pool ?deadline_ns ?tracer system app)
             in
             let summary = Option.map Rtlb_obs.Stats.of_tracer tracer in
             if json then
@@ -200,6 +184,10 @@ let analyze_cmd =
                      analysis)
               else begin
                 Format.printf "%a@." Rtlb.Analysis.pp analysis;
+                if Rtlb.App.n_tasks app = 0 then
+                  Format.printf
+                    "NOTE: empty application: no tasks, every bound and the \
+                     cost are 0@.";
                 match Rtlb.Est_lct.feasible_windows app
                         analysis.Rtlb.Analysis.windows with
                 | Ok () -> ()
@@ -223,7 +211,7 @@ let analyze_cmd =
     Term.(
       ret
         (const run $ file_arg $ system_arg $ json_arg $ full_arg $ jobs_arg
-       $ timeout_arg $ trace_arg $ stats_arg $ engine_arg))
+       $ timeout_arg $ trace_arg $ stats_arg))
 
 (* ---- check ------------------------------------------------------ *)
 
@@ -464,7 +452,7 @@ let profile_cmd =
         match resolve_system system override app with
         | Error e -> `Error (false, e)
         | Ok system ->
-            let w = Rtlb.Est_lct.compute system app in
+            let w = Rtlb.Analysis.windows system app in
             let est = w.Rtlb.Est_lct.est and lct = w.Rtlb.Est_lct.lct in
             let window =
               if window > 0 then window

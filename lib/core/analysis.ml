@@ -7,26 +7,35 @@ type t = {
   completeness : Lower_bound.completeness;
 }
 
+let check_hostable who system app =
+  match System.validate_for system app with
+  | Ok () -> ()
+  | Error e -> invalid_arg (who ^ ": " ^ e)
+
 let run ?pool ?deadline_ns ?tracer system app =
   let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
   Rtlb_obs.Tracer.with_span tr "analyze" (fun () ->
-      (match System.validate_for system app with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("Analysis.run: " ^ e));
-      let windows =
-        Rtlb_obs.Tracer.with_span tr "est_lct" (fun () ->
-            Est_lct.compute system app)
+      check_hostable "Analysis.run" system app;
+      let packed =
+        Rtlb_obs.Tracer.with_span tr "pack" (fun () -> Soa.pack system app)
       in
-      let est = windows.Est_lct.est and lct = windows.Est_lct.lct in
+      Rtlb_obs.Tracer.with_span tr "est_lct" (fun () ->
+          Soa.compute_windows packed);
       let bounds, completeness =
         Rtlb_obs.Tracer.with_span tr "lower_bounds" (fun () ->
-            Lower_bound.all_within ?pool ?deadline_ns ?tracer ~est ~lct app)
+            Soa.bounds ?pool ?deadline_ns ~tracer:tr packed)
       in
       let cost =
         Rtlb_obs.Tracer.with_span tr "cost" (fun () ->
             Cost.compute system app bounds)
       in
-      { app; system; windows; bounds; cost; completeness })
+      { app; system; windows = Soa.windows packed; bounds; cost; completeness })
+
+let windows system app =
+  check_hostable "Analysis.windows" system app;
+  let packed = Soa.pack system app in
+  Soa.compute_windows packed;
+  Soa.windows packed
 
 let is_partial t =
   match t.completeness with `Partial _ -> true | `Complete -> false

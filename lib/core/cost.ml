@@ -112,7 +112,8 @@ let compute system app bounds =
 let pp_outcome ppf = function
   | No_feasible_system e -> Format.fprintf ppf "no feasible system: %s" e
   | Shared_cost { s_terms; s_cost } ->
-      Format.fprintf ppf "shared cost >= %d  =" s_cost;
+      Format.fprintf ppf "shared cost >= %d" s_cost;
+      if s_terms <> [] then Format.fprintf ppf "  =";
       List.iteri
         (fun k (r, c, lb) ->
           Format.fprintf ppf "%s %d*CostR(%s={%d})"

@@ -24,7 +24,12 @@
     ({!System.merge_pools}) the optimal merge set is a threshold prefix in
     message-bound order, so valuing all prefixes of all pools is exact.
     The property suite verifies optimality against exhaustive subset
-    enumeration. *)
+    enumeration.
+
+    This list-based implementation is the test oracle and the merge-trace
+    printer (the Section 8 tables); production windows come from the
+    packed sweep of {!Soa} ({!Analysis.windows}), which computes the same
+    values without merge sets or traces. *)
 
 type decision =
   | Merged of int  (** In the optimal merge set; payload is the bound of
@@ -67,18 +72,6 @@ val emr : App.t -> est:int array -> src:int -> dst:int -> int
 val compute : System.t -> App.t -> t
 (** Runs both recursions ([E] in topological order, [L] in reverse
     topological order). *)
-
-val recompute :
-  System.t -> App.t -> t -> est_dirty:bool array -> lct_dirty:bool array -> t
-(** [recompute system app base ~est_dirty ~lct_dirty] re-runs the merge
-    search only for the marked tasks, reusing [base]'s values (and merge
-    sets, and traces) for every clean one.  The caller must mark dirty
-    sets closed under dependency: [est_dirty] must contain every
-    descendant of a task whose release or compute time changed,
-    [lct_dirty] every ancestor of a task whose deadline or compute time
-    changed (the edited tasks included, in both cases).  Under that
-    contract the result is bit-identical to [compute system app] — the
-    {!Incremental} engine's EST/LCT layer, qcheck-asserted there. *)
 
 val est_of_merge_set : System.t -> App.t -> est:int array -> int -> int list -> int option
 (** [est_of_merge_set sys app ~est i a] — Equation 4.5: the earliest start

@@ -7,8 +7,8 @@
      (topological order); LCT only on deadlines, computes, messages and
      successors (reverse order).  An edit therefore dirties a directed
      cone — descendants for release/compute, ancestors for
-     deadline/compute — and [Est_lct.recompute] re-runs the merge search
-     for exactly that cone.
+     deadline/compute — and [Soa.recompute_windows] re-runs the merge
+     search for exactly that cone, in place on the packed arrays.
    - The candidate-interval scan folds with [Lower_bound.merge_scans],
      which is associative with an earlier-wins tie-break, so per-block
      partial results can be cached and folded in plan order with the
@@ -18,12 +18,13 @@
      sound cache key; a whole resource whose members' tuples are all
      unchanged can reuse its base bound (partition included) wholesale.
 
-   [create] runs the same plan/scan/reduce as [Analysis.run] — one global
-   work array in RES/block/left-endpoint order through the same budgeted
-   pool map — so its result is bit-identical by construction, while the
-   per-block folds feed the cache.  Blocks whose scans were cut short by
-   a [?deadline_ns] budget are never cached, and a resource is wholesale-
-   reusable only if every one of its items executed in the base run. *)
+   [create] runs the same plan as [Analysis.run] — one global work
+   array in RES/block/left-endpoint order through the same budgeted pool
+   map, unpruned so that every block result is exhaustive — so its
+   complete result is bit-identical, while the per-block folds feed the
+   cache.  Blocks whose scans were cut short by a [?deadline_ns] budget
+   are never cached, and a resource is wholesale-reusable only if every
+   one of its items executed in the base run. *)
 
 type fp = {
   f_est : int;
@@ -54,15 +55,15 @@ type rstate = {
 type t = {
   i_system : System.t;
   i_app : App.t;
-  i_windows : Est_lct.t;
   i_base : Analysis.t;
   i_cache : (block_key, block_entry) Hashtbl.t;
   i_rstates : (string * rstate) list;
-  i_soa : (Soa.t * Soa.t) option;
-      (* packed engine: live handle + base snapshot.  Queries edit the
-         live arrays in place, so each one first restores the snapshot —
-         [Soa.recompute_windows] (like [Est_lct.recompute]) requires
-         clean entries to hold their base values. *)
+  i_packed : Soa.t;
+  i_snapshot : Soa.t;
+      (* live packed instance + base snapshot.  Queries edit the live
+         arrays in place, so each one first restores the snapshot —
+         [Soa.recompute_windows] requires clean entries to hold their
+         base values. *)
 }
 
 let base t = t.i_base
@@ -134,19 +135,18 @@ type resource_plan =
    and base completeness); everything else is planned block by block
    against the cache.  Live items flow through the same
    [map_array_partial] call as the cold path — same work-item order,
-   same chunking, same counters — and the reduce folds cached and live
-   block results in plan order with [merge_scans], so whenever nothing
-   is cached the result is bit-identical to [Lower_bound.all_within]
-   field by field; with cache hits it is bit-identical by the
+   same chunking — and the reduce folds cached and live block results
+   in plan order with [merge_scans], so whenever nothing is cached the
+   result equals [Soa.bounds] field by field (pruning never changes a
+   bound or its witness); with cache hits it is bit-identical by the
    associativity argument above.  Returns the per-resource bounds (RES
    order), the refreshed per-resource states, and the completeness,
    where cached and reused items count as executed.
 
-   [scan_from] performs one left endpoint of one live block — the record
-   path's [Lower_bound.scan_from] or the packed engine's
-   [Soa.scan_from].  Both are exhaustive (unpruned) scans of the same
-   member tuples, so cache entries are engine-independent. *)
-let scan ?pool ?deadline_ns ~tracer:tr ~cache ~reuse ~scan_from ~est ~lct app =
+   Live items run [Soa.scan_from] over the current packed windows: an
+   exhaustive (unpruned) scan of one left endpoint of one block, so a
+   cached block result is a function of its key alone. *)
+let scan ?pool ?deadline_ns ~tracer:tr ~cache ~reuse ~packed ~est ~lct app =
   let plans =
     Rtlb_obs.Tracer.with_span tr "plan" (fun () ->
         List.map
@@ -226,7 +226,7 @@ let scan ?pool ?deadline_ns ~tracer:tr ~cache ~reuse ~scan_from ~est ~lct app =
   let scanned, _status =
     Rtlb_par.Pool.map_array_partial ?pool ?deadline_ns ~tracer:tr
       (fun (r, block, pts, a) ->
-        let scan = scan_from ~resource:r block pts a in
+        let scan = Soa.scan_from packed ~resource:r block pts a in
         if Rtlb_obs.Tracer.enabled tr then begin
           Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Tasks_scanned
             (List.length block);
@@ -304,40 +304,27 @@ let scan ?pool ?deadline_ns ~tracer:tr ~cache ~reuse ~scan_from ~est ~lct app =
   in
   (bounds, states, completeness)
 
-let record_scan_from ~est ~lct app ~resource block pts a =
-  Lower_bound.scan_from ~resource ~est ~lct app block pts a
-
-let create ?(engine = `Record) ?pool ?deadline_ns ?tracer system app =
+let create ?pool ?deadline_ns ?tracer system app =
   let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
   Rtlb_obs.Tracer.with_span tr "analyze" (fun () ->
       (match System.validate_for system app with
       | Ok () -> ()
       | Error e -> invalid_arg ("Incremental.create: " ^ e));
-      let soa =
-        match engine with
-        | `Record -> None
-        | `Soa -> Some (Soa.pack system app)
+      let packed =
+        Rtlb_obs.Tracer.with_span tr "pack" (fun () -> Soa.pack system app)
       in
       let windows =
         Rtlb_obs.Tracer.with_span tr "est_lct" (fun () ->
-            match soa with
-            | None -> Est_lct.compute system app
-            | Some s ->
-                Soa.compute_windows s;
-                Soa.windows s)
+            Soa.compute_windows packed;
+            Soa.windows packed)
       in
       let est = windows.Est_lct.est and lct = windows.Est_lct.lct in
-      let scan_from =
-        match soa with
-        | None -> record_scan_from ~est ~lct app
-        | Some s -> Soa.scan_from s
-      in
       let cache = Hashtbl.create 64 in
       let bounds, states, completeness =
         Rtlb_obs.Tracer.with_span tr "lower_bounds" (fun () ->
             scan ?pool ?deadline_ns ~tracer:tr ~cache
               ~reuse:(fun _ -> None)
-              ~scan_from ~est ~lct app)
+              ~packed ~est ~lct app)
       in
       let cost =
         Rtlb_obs.Tracer.with_span tr "cost" (fun () ->
@@ -349,11 +336,11 @@ let create ?(engine = `Record) ?pool ?deadline_ns ?tracer system app =
       {
         i_system = system;
         i_app = app;
-        i_windows = windows;
         i_base = base;
         i_cache = cache;
         i_rstates = states;
-        i_soa = Option.map (fun s -> (s, Soa.copy_base s)) soa;
+        i_packed = packed;
+        i_snapshot = Soa.copy_base packed;
       })
 
 (* Per-task diff between the base application and a query's.  Anything
@@ -444,35 +431,23 @@ let query ?pool ?deadline_ns ?tracer t app =
             Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Cone_tasks cone;
           let windows =
             Rtlb_obs.Tracer.with_span tr "est_lct" (fun () ->
-                match t.i_soa with
-                | None ->
-                    if cone = 0 then t.i_windows
-                    else
-                      Est_lct.recompute t.i_system app t.i_windows ~est_dirty
-                        ~lct_dirty
-                | Some (s, base) ->
-                    (* Undo the previous query's in-place edits, apply
-                       this one's scalar diffs, then re-sweep the dirty
-                       cones over the packed arrays. *)
-                    Soa.restore_from s ~base;
-                    if cone = 0 then t.i_windows
-                    else begin
-                      for i = 0 to n - 1 do
-                        let task = App.task app i in
-                        if d_rel.(i) then Soa.set_release s i task.Task.release;
-                        if d_dl.(i) then Soa.set_deadline s i task.Task.deadline;
-                        if d_comp.(i) then Soa.set_compute s i task.Task.compute
-                      done;
-                      Soa.recompute_windows s ~est_dirty ~lct_dirty;
-                      Soa.windows s
-                    end)
+                (* Undo the previous query's in-place edits, apply this
+                   one's scalar diffs, then re-sweep the dirty cones. *)
+                let s = t.i_packed in
+                Soa.restore_from s ~base:t.i_snapshot;
+                if cone = 0 then t.i_base.Analysis.windows
+                else begin
+                  for i = 0 to n - 1 do
+                    let task = App.task app i in
+                    if d_rel.(i) then Soa.set_release s i task.Task.release;
+                    if d_dl.(i) then Soa.set_deadline s i task.Task.deadline;
+                    if d_comp.(i) then Soa.set_compute s i task.Task.compute
+                  done;
+                  Soa.recompute_windows s ~est_dirty ~lct_dirty;
+                  Soa.windows s
+                end)
           in
           let est = windows.Est_lct.est and lct = windows.Est_lct.lct in
-          let scan_from =
-            match t.i_soa with
-            | None -> record_scan_from ~est ~lct app
-            | Some (s, _) -> Soa.scan_from s
-          in
           let reuse r =
             match List.assoc_opt r t.i_rstates with
             | Some rs
@@ -485,7 +460,7 @@ let query ?pool ?deadline_ns ?tracer t app =
           let bounds, _states, completeness =
             Rtlb_obs.Tracer.with_span tr "lower_bounds" (fun () ->
                 scan ?pool ?deadline_ns ~tracer:tr ~cache:t.i_cache ~reuse
-                  ~scan_from ~est ~lct app)
+                  ~packed:t.i_packed ~est ~lct app)
           in
           let cost =
             Rtlb_obs.Tracer.with_span tr "cost" (fun () ->

@@ -6,8 +6,8 @@
     - EST values depend only on releases, computes, messages and
       predecessors; LCT values only on deadlines, computes, messages and
       successors.  A deadline edit therefore dirties the edited tasks and
-      their ancestors in the LCT pass {e only} — the cached EST arrays and
-      merge traces are reused verbatim — while a release edit dirties the
+      their ancestors in the LCT pass {e only} — the cached EST values
+      are reused verbatim — while a release edit dirties the
       descendant cone of the EST pass, and a compute edit both.
     - Partitions and candidate points are rebuilt only for resources
       whose member windows moved; a resource whose members' (EST, LCT,
@@ -35,23 +35,15 @@
 type t
 
 val create :
-  ?engine:[ `Record | `Soa ] ->
   ?pool:Rtlb_par.Pool.t ->
   ?deadline_ns:int64 ->
   ?tracer:Rtlb_obs.Tracer.t ->
   System.t -> App.t -> t
-(** One full analysis (same plan, same work order, same spans and
-    counters as {!Analysis.run} — the {!base} result is bit-identical to
-    it), capturing per-block scan results for later reuse.
-
-    [~engine:`Soa] runs the sweeps and block scans over a {!Soa} packed
-    instance whose arrays are updated in place across queries (each
-    query restores a base snapshot first).  Results are value-identical
-    to the record engine — windows, bounds, witnesses, partitions, cost,
-    completeness — except that merge sets and traces are empty, the one
-    documented {!Soa} divergence; block cache entries are
-    engine-independent.  Queries that fall back to a cold run (shape
-    changes) always use the record engine.
+(** One full analysis (same plan, same spans as {!Analysis.run} — the
+    {!base} result is value-identical to it), capturing per-block scan
+    results for later reuse.  The sweeps and block scans run over a
+    {!Soa} packed instance whose arrays are updated in place across
+    queries (each query restores a base snapshot first).
     @raise Invalid_argument when the system cannot host some task. *)
 
 val base : t -> Analysis.t

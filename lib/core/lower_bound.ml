@@ -7,6 +7,8 @@ type bound = {
   partition : Partition.t;
 }
 
+type completeness = [ `Complete | `Partial of float ]
+
 let theta ?resource ~est ~lct app tasks ~t1 ~t2 =
   List.fold_left
     (fun acc i ->
@@ -215,110 +217,6 @@ let for_resource_unpartitioned ?policy ~est ~lct app r =
         witness;
         partition = { Partition.blocks = [ tasks ]; spans = [ (lo, hi) ] };
       }
-
-type completeness = [ `Complete | `Partial of float ]
-
-(* The full scan, flattened to per-t1 granularity: one work item per
-   (resource, partition block, left endpoint), so even a single dominant
-   block parallelises, and a time budget can cut anywhere between two
-   kernel scans.  Work items of one resource are contiguous and in the
-   sequential scan order. *)
-let scan_plan ?policy ~est ~lct app =
-  let pointed =
-    List.map
-      (fun r ->
-        let tasks = App.tasks_using app r in
-        let partition = Partition.compute ~est ~lct tasks in
-        let blocks =
-          List.map2
-            (fun block (lo, hi) ->
-              if lo >= hi then (block, [||])
-              else (block, block_points ?policy ~est ~lct app block ~lo ~hi))
-            partition.Partition.blocks partition.Partition.spans
-        in
-        (r, partition, blocks))
-      (App.resource_set app)
-  in
-  let work =
-    List.concat_map
-      (fun (r, _, blocks) ->
-        List.concat_map
-          (fun (block, pts) ->
-            List.init
-              (max 0 (Array.length pts - 1))
-              (fun a -> (r, block, pts, a)))
-          blocks)
-      pointed
-    |> Array.of_list
-  in
-  (pointed, work)
-
-let all_within ?policy ?pool ?deadline_ns ?tracer ~est ~lct app =
-  let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
-  let pointed, work =
-    Rtlb_obs.Tracer.with_span tr "plan" (fun () ->
-        scan_plan ?policy ~est ~lct app)
-  in
-  (* Counters are write-only telemetry: planned intervals counted here,
-     executed evaluations counted inside the work-item body, so the two
-     agree exactly when no deadline cut the scan short. *)
-  if Rtlb_obs.Tracer.enabled tr then
-    Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Candidate_intervals
-      (Array.fold_left
-         (fun acc (_, _, pts, a) -> acc + (Array.length pts - 1 - a))
-         0 work);
-  (* Results come back slotted by index and are folded in exactly the
-     sequential order — merge_scans is associative and tie-breaks on the
-     earlier item, so bounds, witnesses and partitions are bit-identical
-     to the sequential path whenever every item ran.  Items abandoned at
-     the deadline fold as `no improvement', leaving the best bound found
-     so far: still a valid lower bound, every witness still real. *)
-  let scanned, _status =
-    Rtlb_par.Pool.map_array_partial ?pool ?deadline_ns ~tracer:tr
-      (fun (r, block, pts, a) ->
-        let scan = scan_from ~resource:r ~est ~lct app block pts a in
-        if Rtlb_obs.Tracer.enabled tr then begin
-          Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Tasks_scanned
-            (List.length block);
-          Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Theta_evals
-            (Array.length pts - 1 - a)
-        end;
-        scan)
-      work
-  in
-  let items (_, _, blocks) =
-    List.fold_left
-      (fun acc (_, pts) -> acc + max 0 (Array.length pts - 1))
-      0 blocks
-  in
-  let next = ref 0 and executed = ref 0 in
-  let bounds =
-    Rtlb_obs.Tracer.with_span tr "reduce" (fun () ->
-        List.map
-          (fun ((r, partition, _) as unit) ->
-            let count = items unit in
-            let acc = ref (0, None) in
-            for i = !next to !next + count - 1 do
-              match scanned.(i) with
-              | Some scan ->
-                  incr executed;
-                  acc := merge_scans !acc scan
-              | None -> ()
-            done;
-            next := !next + count;
-            let lb, witness = !acc in
-            { resource = r; lb; witness; partition })
-          pointed)
-  in
-  let total = Array.length work in
-  let completeness =
-    if !executed = total then `Complete
-    else `Partial (float_of_int !executed /. float_of_int total)
-  in
-  (bounds, completeness)
-
-let all ?policy ?pool ?tracer ~est ~lct app =
-  fst (all_within ?policy ?pool ?tracer ~est ~lct app)
 
 let pp_bound ppf b =
   Format.fprintf ppf "LB_%s = %d" b.resource b.lb;

@@ -9,7 +9,14 @@
 
     evaluated over the intervals spanned by the candidate points (the ESTs
     and LCTs of the tasks in [ST_r], as the paper suggests), block by
-    block of the Section 5 partition. *)
+    block of the Section 5 partition.
+
+    Production bounds come from the packed engine ({!Soa.bounds}, via
+    {!Analysis.run}).  The list-based scans here — {!theta},
+    {!for_resource}, {!for_resource_unpartitioned} — are its independent
+    test oracles; {!Theta_kernel}, {!candidate_points}, {!block_points}
+    and {!merge_scans} are shared with the demand profiles and the
+    incremental engine. *)
 
 type witness = {
   w_t1 : int;
@@ -24,6 +31,12 @@ type bound = {
                                  [None] when [ST_r] is empty. *)
   partition : Partition.t;  (** The Section 5 partition of [ST_r]. *)
 }
+
+type completeness =
+  [ `Complete
+  | `Partial of float
+    (** Fraction of candidate-interval scans that ran before a
+        [?deadline_ns] budget expired, in [\[0, 1)]. *) ]
 
 type point_policy =
   [ `Endpoints  (** Task ESTs and LCTs — the paper's suggestion. *)
@@ -76,13 +89,10 @@ val candidate_points :
 
 (** {2 Scan toolkit}
 
-    The three primitives below are the unit operations of the
-    candidate-interval scan, exposed so the {!Incremental} engine can
-    rebuild exactly the per-block slices of the plan that an edit
-    dirtied while folding cached results for the rest.  Folding
-    {!scan_from} results for every left endpoint of every block with
-    {!merge_scans}, block by block in partition order, reproduces
-    {!all} bit-identically. *)
+    The unit operations of the candidate-interval scan, shared with the
+    {!Incremental} engine, which rebuilds exactly the per-block slices
+    of the plan that an edit dirtied while folding cached results for
+    the rest. *)
 
 val merge_scans :
   int * witness option -> int * witness option -> int * witness option
@@ -98,15 +108,6 @@ val block_points :
 (** The candidate points of one partition block, as the sorted scan
     array ({!candidate_points} with the app's compute vector). *)
 
-val scan_from :
-  ?resource:string ->
-  est:int array -> lct:int array -> App.t -> int list -> int array -> int ->
-  int * witness option
-(** [scan_from ~est ~lct app block pts a]: the densest interval starting
-    at [pts.(a)] — one {!Theta_kernel} for the fixed left endpoint, one
-    O(log n) evaluation per right endpoint.  This is the unit of
-    parallel work in {!all_within}. *)
-
 val for_resource :
   ?policy:point_policy ->
   est:int array -> lct:int array -> App.t -> string -> bound
@@ -119,41 +120,5 @@ val for_resource_unpartitioned :
     intervals ([O(N^2)] of them) and a trivial one-block partition —
     Theorem 5 guarantees the same value; kept for testing and for the
     partitioning-payoff benchmark. *)
-
-val all :
-  ?policy:point_policy ->
-  ?pool:Rtlb_par.Pool.t ->
-  ?tracer:Rtlb_obs.Tracer.t ->
-  est:int array -> lct:int array -> App.t -> bound list
-(** One bound per element of the application's [RES], in [RES] order.
-    With [?pool], every (resource, partition block) scan is fanned out
-    across the pool's domains and the per-resource results are merged in
-    partition order — the output (bounds, witnesses and partitions) is
-    bit-identical to the sequential path.
-
-    With [?tracer], the scan is instrumented: ["plan"] and ["reduce"]
-    spans, per-chunk worker spans via the pool, and the
-    [Tasks_scanned] / [Candidate_intervals] / [Theta_evals] counters
-    (see {!Rtlb_obs.Tracer}).  Tracing does not change the result. *)
-
-type completeness =
-  [ `Complete
-  | `Partial of float
-    (** Fraction of candidate-interval scans that ran before the budget
-        expired, in [\[0, 1)]. *) ]
-
-val all_within :
-  ?policy:point_policy ->
-  ?pool:Rtlb_par.Pool.t ->
-  ?deadline_ns:int64 ->
-  ?tracer:Rtlb_obs.Tracer.t ->
-  est:int array -> lct:int array -> App.t -> bound list * completeness
-(** Anytime variant of {!all}: the candidate-interval scans stop
-    claiming work once [deadline_ns] ({!Rtlb_par.Pool.now_ns} base)
-    passes, and the bounds reflect the best interval found so far —
-    each still a valid lower bound with a real witness, possibly below
-    the exhaustive value.  Whenever the budget is not hit the result is
-    [`Complete] and bit-identical to {!all} (which is this function
-    without a deadline). *)
 
 val pp_bound : Format.formatter -> bound -> unit

@@ -6,7 +6,7 @@
    arrays instead of chasing per-task records.  The merge search, the
    Section-5 partition and the Theta prefix-sum interval scan are
    re-derived on the packed layout with the exact integer arithmetic of
-   the record path ([Est_lct] / [Partition] / [Lower_bound]), so
+   the record oracles ([Est_lct] / [Partition] / [Lower_bound]), so
    windows, bounds, witnesses and costs are bit-identical; only the
    merge {e traces} (an explanation artifact) are not reconstructed.
 
@@ -42,7 +42,10 @@ type t = {
   compute : ia;
   preempt : ia;  (* 0/1 *)
   proc : ia;  (* index into [procs] *)
-  host : ia;  (* dedicated: bitmask over node-type indices; shared: 0 *)
+  hw : int;  (* words per host mask *)
+  host : ia;
+      (* dedicated: task [i]'s node-type bitmask in words
+         [i*hw, (i+1)*hw), [mask_bits] node types per word; shared: 0 *)
   (* CSR adjacency, message weight parallel to the target *)
   succ_off : ia;
   succ_tgt : ia;
@@ -65,29 +68,29 @@ type t = {
   lct : ia;
 }
 
-let n_tasks t = t.n
-let system t = t.system
-let app t = t.app
-
 (* ------------------------------------------------------------------ *)
 (* Packing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let max_node_types = Sys.int_size - 2
+(* Host masks spread over as many words as the catalogue needs, so the
+   node-type count is unbounded; the sign bit is left unused. *)
+let mask_bits = Sys.int_size - 1
+
+let can_host t i k =
+  t.host.{(i * t.hw) + (k / mask_bits)} land (1 lsl (k mod mask_bits)) <> 0
 
 let pack system app =
   let n = App.n_tasks app in
   let g = App.graph app in
   let nts = Array.of_list (System.node_types system) in
-  if Array.length nts > max_node_types then
-    invalid_arg
-      (Printf.sprintf "Soa.pack: more than %d node types" max_node_types);
+  let hw = max 1 ((Array.length nts + mask_bits - 1) / mask_bits) in
   let release = ia n
   and deadline = ia n
   and compute = ia n
   and preempt = ia n
   and proc = ia n
-  and host = ia n in
+  and host = ia (n * hw) in
+  Array1.fill host 0;
   let proc_code = Hashtbl.create 16 in
   let procs = ref [] and n_procs = ref 0 in
   let names = Array.make n "" in
@@ -107,11 +110,13 @@ let pack system app =
            Hashtbl.add proc_code task.Task.proc c;
            procs := task.Task.proc :: !procs;
            c));
-    let mask = ref 0 in
     Array.iteri
-      (fun k nt -> if System.node_can_host nt task then mask := !mask lor (1 lsl k))
-      nts;
-    host.{i} <- !mask
+      (fun k nt ->
+        if System.node_can_host nt task then begin
+          let w = (i * hw) + (k / mask_bits) in
+          host.{w} <- host.{w} lor (1 lsl (k mod mask_bits))
+        end)
+      nts
   done;
   let procs = Array.of_list (List.rev !procs) in
   (* CSR adjacency from the Dag lists *)
@@ -183,6 +188,7 @@ let pack system app =
     compute;
     preempt;
     proc;
+    hw;
     host;
     succ_off;
     succ_tgt;
@@ -397,12 +403,9 @@ let sweep_task t ws ~is_est i =
     (match t.system with
     | System.Shared _ -> scan_pool (fun p -> t.proc.{tgt.{p}} = pc)
     | System.Dedicated _ ->
-        let hm = t.host.{i} in
-        Array.iteri
-          (fun k _ ->
-            if hm land (1 lsl k) <> 0 then
-              scan_pool (fun p -> t.host.{tgt.{p}} land (1 lsl k) <> 0))
-          t.nts);
+        for k = 0 to Array.length t.nts - 1 do
+          if can_host t i k then scan_pool (fun p -> can_host t tgt.{p} k)
+        done);
     !best
   end
 
@@ -428,30 +431,17 @@ let compute_windows t =
     t.lct.{i} <- sweep_task t ws ~is_est:false i
   done
 
-let est_array t = Array.init t.n (fun i -> t.est.{i})
-let lct_array t = Array.init t.n (fun i -> t.lct.{i})
 
-(* The windows record, values only: merge traces are an explanation
-   artifact of the record engine and are left empty here. *)
+(* The windows record, values only: merge sets and traces are an
+   explanation artifact of the record oracle and are left empty here. *)
 let windows t =
-  let est = est_array t and lct = lct_array t in
-  let trace v =
-    Array.init t.n (fun i ->
-        {
-          Est_lct.center = i;
-          no_merge_bound = v.(i);
-          steps = [];
-          bound = v.(i);
-          merged = [];
-        })
-  in
   {
-    Est_lct.est;
-    lct;
-    est_merged = Array.make t.n [];
-    lct_merged = Array.make t.n [];
-    est_trace = trace est;
-    lct_trace = trace lct;
+    Est_lct.est = Array.init t.n (fun i -> t.est.{i});
+    lct = Array.init t.n (fun i -> t.lct.{i});
+    est_merged = [||];
+    lct_merged = [||];
+    est_trace = [||];
+    lct_trace = [||];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -492,7 +482,31 @@ let kernel_ws () =
     bdi = [||];
   }
 
-let kernel_key = Domain.DLS.new_key kernel_ws
+(* Scratch is per domain, but serve runs several worker threads on one
+   domain, so a workspace is taken for one work item and given back after
+   it: two threads never share one.  An item that raises just drops its
+   workspace. *)
+type kernel_pool = { lock : Mutex.t; mutable free : kernel_ws list }
+
+let kernel_key =
+  Domain.DLS.new_key (fun () -> { lock = Mutex.create (); free = [] })
+
+let take_kernel pool =
+  Mutex.lock pool.lock;
+  let ws =
+    match pool.free with
+    | ws :: rest ->
+        pool.free <- rest;
+        ws
+    | [] -> kernel_ws ()
+  in
+  Mutex.unlock pool.lock;
+  ws
+
+let give_kernel pool ws =
+  Mutex.lock pool.lock;
+  pool.free <- ws :: pool.free;
+  Mutex.unlock pool.lock
 
 let ensure_kernel ws cap =
   if cap > ws.kcap then begin
@@ -680,9 +694,8 @@ let rec atomic_max a v =
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
 (* Scan the intervals with left endpoint [pts.(a)], pruned against the
-   block incumbent.  Mirrors [Lower_bound.scan_from]; counters follow
-   the record path's convention (tasks per executed kernel, executed
-   evaluations). *)
+   block incumbent.  Mirrors the oracle's [Lower_bound.scan_from];
+   counters count tasks per executed kernel and executed evaluations. *)
 let scan_item t ~prune ~tr blk a =
   let pts = blk.b_pts in
   let np = Array.length pts in
@@ -695,7 +708,8 @@ let scan_item t ~prune ~tr blk a =
     && (tmax <= 0 || (inc0 > 0 && ceil_div tmax (pts.(a + 1) - t1) < inc0))
   then (0, None)
   else begin
-    let ws = Domain.DLS.get kernel_key in
+    let pool = Domain.DLS.get kernel_key in
+    let ws = take_kernel pool in
     let nb = Array.length blk.b_ids in
     build_kernel t ws blk.b_ids blk.b_w nb ~t1;
     let best = ref 0 and wit = ref None and evals = ref 0 in
@@ -719,6 +733,7 @@ let scan_item t ~prune ~tr blk a =
          end
        done
      with Exit -> ());
+    give_kernel pool ws;
     if Rtlb_obs.Tracer.enabled tr then begin
       Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Tasks_scanned nb;
       Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Theta_evals !evals
@@ -832,8 +847,7 @@ let default_prune () = Sys.getenv_opt "RTLB_SOA_NO_PRUNE" = None
 
 (* The full lower-bound pass: plan (partition + points + theta_max),
    one flat work array at (block, left endpoint) granularity through
-   the pool, then a fold in plan order — the same shape, item order and
-   counters as [Lower_bound.all_within]. *)
+   the pool, then a fold in plan order with [Lower_bound.merge_scans]. *)
 let bounds ?prune ?pool ?deadline_ns ?tracer t =
   let prune = match prune with Some p -> p | None -> default_prune () in
   let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
@@ -915,8 +929,8 @@ let bounds ?prune ?pool ?deadline_ns ?tracer t =
   in
   (bounds, completeness)
 
-(* Block scan at the record path's call signature, for the incremental
-   engine's live blocks: same kernel, fresh per-call incumbent. *)
+(* One unpruned block scan by resource name and member list, for the
+   incremental engine's live blocks: same kernel, no incumbent. *)
 let scan_from t ~resource ids pts a =
   let r_idx = ref (-1) in
   Array.iteri
@@ -955,30 +969,3 @@ let scan_from t ~resource ids pts a =
     in
     scan_item t ~prune:false ~tr:Rtlb_obs.Tracer.null blk a
   end
-
-let analyze ?prune ?pool ?deadline_ns ?tracer system app =
-  let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
-  Rtlb_obs.Tracer.with_span tr "analyze" (fun () ->
-      (match System.validate_for system app with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("Soa.analyze: " ^ e));
-      let t =
-        Rtlb_obs.Tracer.with_span tr "pack" (fun () -> pack system app)
-      in
-      Rtlb_obs.Tracer.with_span tr "est_lct" (fun () -> compute_windows t);
-      let bounds, completeness =
-        Rtlb_obs.Tracer.with_span tr "lower_bounds" (fun () ->
-            bounds ?prune ?pool ?deadline_ns ~tracer:tr t)
-      in
-      let cost =
-        Rtlb_obs.Tracer.with_span tr "cost" (fun () ->
-            Cost.compute system app bounds)
-      in
-      {
-        Analysis.app;
-        system;
-        windows = windows t;
-        bounds;
-        cost;
-        completeness;
-      })

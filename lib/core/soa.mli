@@ -1,15 +1,15 @@
-(** Structure-of-arrays analysis engine.
+(** Structure-of-arrays analysis engine — the production engine behind
+    {!Analysis.run}, {!Incremental} and {!Validate.check_windows}.
 
     [pack] compiles an instance once into contiguous [Bigarray] int
     arrays — per-task scalars, CSR successor/predecessor adjacency with
     message weights, and a per-resource member table — and the EST/LCT
     merge-search sweep, the Section-5 partition and the Theta prefix-sum
     interval scan all iterate over those arrays with no per-task
-    allocation.  Results (windows, bounds, witnesses, partitions, cost)
-    are bit-identical to the record path ({!Est_lct} / {!Lower_bound} /
-    {!Analysis}); the only divergence is that merge {e traces} — the
-    [explain] artifact — are left empty, so [rtlb explain] always uses
-    the record engine.
+    allocation.  Results (windows, bounds, witnesses, partitions) are
+    bit-identical to the record test oracles ({!Est_lct.compute},
+    {!Lower_bound.for_resource}); the only divergence is that merge
+    sets and {e traces} are left empty.
 
     The interval scan adds {e candidate-interval dominance pruning}: an
     O(n log n) precomputation bounds the kernel total for every left
@@ -27,21 +27,14 @@ type t
 
 val pack : System.t -> App.t -> t
 (** Compile an instance into packed arrays.  Window arrays start
-    uninitialised; call {!compute_windows}.  Raises [Invalid_argument]
-    for dedicated systems with more node types than host-mask bits
-    (62 on 64-bit). *)
+    uninitialised; call {!compute_windows}.  Any number of node types is
+    accepted: each task's host mask spans as many words as the
+    catalogue needs. *)
 
 val unpack : t -> App.t
 (** Rebuild the application from the packed arrays alone (names, task
     scalars, demands from the resource table, edges from the CSR).
     [unpack (pack s app)] is structurally equal to [app]. *)
-
-val n_tasks : t -> int
-
-val system : t -> System.t
-
-val app : t -> App.t
-(** The application [pack] was given (not a reconstruction). *)
 
 val compute_windows : t -> unit
 (** Run the full EST/LCT merge-search sweep over the packed arrays, in
@@ -49,8 +42,12 @@ val compute_windows : t -> unit
 
 val recompute_windows : t -> est_dirty:bool array -> lct_dirty:bool array -> unit
 (** Re-run the sweep for the marked tasks only, in the same topological
-    orders, against the current in-place values — the packed mirror of
-    [Est_lct.recompute]; the same dirty-cone closure obligations apply. *)
+    orders, against the current in-place values.  The caller must mark
+    dirty sets closed under dependency: [est_dirty] must contain every
+    descendant of a task whose release or compute time changed,
+    [lct_dirty] every ancestor of a task whose deadline or compute time
+    changed (the edited tasks included).  Under that contract the values
+    equal a full {!compute_windows}. *)
 
 val set_release : t -> int -> int -> unit
 val set_deadline : t -> int -> int -> unit
@@ -67,14 +64,9 @@ val restore_from : t -> base:t -> unit
 (** Blit the snapshot's scalars and windows back, undoing in-place
     edits. *)
 
-val est_array : t -> int array
-
-val lct_array : t -> int array
-(** Fresh copies of the current window values. *)
-
 val windows : t -> Est_lct.t
 (** The windows as the record type: values copied from the packed
-    arrays, merge sets and traces empty. *)
+    arrays; the merge-set and trace arrays are empty ([[||]]). *)
 
 val bounds :
   ?prune:bool ->
@@ -84,12 +76,15 @@ val bounds :
   t ->
   Lower_bound.bound list * Lower_bound.completeness
 (** The per-resource lower bounds from the current windows, via the
-    packed partition + pruned interval scan.  Work items, fold order,
-    [Tasks_scanned]/[Theta_evals]/[Candidate_intervals] accounting and
-    the [?deadline_ns] partial semantics mirror
-    [Lower_bound.all_within]; with pruning, [Theta_evals] counts only
-    the evaluations actually executed.  [prune] defaults to [true]
-    unless [RTLB_SOA_NO_PRUNE] is set. *)
+    packed partition + pruned interval scan.  One work item per (resource,
+    partition block, left endpoint), folded in that order with
+    {!Lower_bound.merge_scans}, so the pool path is bit-identical to the
+    sequential one.  [Candidate_intervals] counts the planned intervals;
+    [Tasks_scanned] and [Theta_evals] count the kernels built and the
+    evaluations executed, so pruning lowers them.  Under an expired
+    [?deadline_ns] the unclaimed items fold as "no improvement" and the
+    result is [`Partial] with the executed fraction.  [prune] defaults
+    to [true] unless [RTLB_SOA_NO_PRUNE] is set. *)
 
 val scan_from :
   t ->
@@ -99,21 +94,9 @@ val scan_from :
   int ->
   int * Lower_bound.witness option
 (** [scan_from t ~resource tasks pts a]: one left endpoint of one block
-    against the current packed windows — the packed, unpruned equivalent
-    of [Lower_bound.scan_from], used by the incremental engine's live
+    against the current packed windows, unpruned: the densest interval
+    starting at [pts.(a)].  The unit of the incremental engine's live
     block scans. *)
 
 val default_prune : unit -> bool
 (** [true] unless [RTLB_SOA_NO_PRUNE] is set in the environment. *)
-
-val analyze :
-  ?prune:bool ->
-  ?pool:Rtlb_par.Pool.t ->
-  ?deadline_ns:int64 ->
-  ?tracer:Rtlb_obs.Tracer.t ->
-  System.t ->
-  App.t ->
-  Analysis.t
-(** Pack, sweep, scan, cost: the drop-in packed equivalent of
-    [Analysis.run].  All result fields except the merge traces are
-    bit-identical to the record engine. *)

@@ -10,14 +10,8 @@ let with_omega app omega =
 (* Bounds of the app when everything must finish by [omega]; None when the
    windows are already infeasible. *)
 let bounds_at system app omega =
-  let scaled = with_omega app omega in
-  let windows = Est_lct.compute system scaled in
-  match Est_lct.feasible_windows scaled windows with
-  | Error _ -> None
-  | Ok () ->
-      Some
-        (Lower_bound.all ~est:windows.Est_lct.est ~lct:windows.Est_lct.lct
-           scaled)
+  let a = Analysis.run system (with_omega app omega) in
+  if Analysis.is_infeasible a then None else Some a.Analysis.bounds
 
 let fits ~capacity bounds =
   List.for_all

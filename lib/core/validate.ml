@@ -75,6 +75,78 @@ let spec_of_app app =
   in
   (tasks, edges)
 
+(* ---------------- magnitude contract ---------------- *)
+
+(* magnitude = W * H * (1 + K); validate.mli defines the terms and
+   derives the limit.  Quantities are clamped at 0 (negative ones are
+   E104 anyway) and sums saturate, so the check itself cannot wrap. *)
+
+let magnitude_limit = max_int / 16
+
+let sat_add a b = if a > max_int - b then max_int else a + b
+
+let sat_mul a b =
+  if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
+
+type extent = {
+  mutable peak : int;  (* largest release or deadline *)
+  mutable work : int;  (* sum of compute times and message sizes *)
+  mutable weight : int;  (* W *)
+}
+
+let extent () = { peak = 0; work = 0; weight = 0 }
+
+let add_task x ~release ~deadline ~compute ~demands =
+  x.peak <- max x.peak (max (max 0 release) (max 0 deadline));
+  x.work <- sat_add x.work (max 0 compute);
+  x.weight <-
+    List.fold_left (fun acc (_, u) -> sat_add acc (max 0 u)) (sat_add x.weight 1)
+      demands
+
+let add_message x m = x.work <- sat_add x.work (max 0 m)
+
+(* K: the costs the cost step multiplies bounds by; without a model the
+   analysis prices every resource of RES at 1. *)
+let cost_sum system ~n_resources =
+  match system with
+  | None -> n_resources
+  | Some (System.Shared costs) ->
+      List.fold_left (fun acc (_, c) -> sat_add acc (max 0 c)) 0 costs
+  | Some (System.Dedicated nts) ->
+      List.fold_left
+        (fun acc (nt : System.node_type) -> sat_add acc (max 0 nt.System.nt_cost))
+        0 nts
+
+let magnitude_diag x ~cost =
+  let horizon = sat_add x.peak x.work in
+  let m = sat_mul (sat_mul x.weight horizon) (sat_add 1 cost) in
+  if m <= magnitude_limit then None
+  else
+    Some
+      {
+        d_code = "E107";
+        d_severity = Error;
+        d_subject = "application";
+        d_message =
+          Printf.sprintf
+            "magnitudes exceed the integer contract: weight %d x horizon %d x \
+             (1 + cost sum %d) must be at most %d"
+            x.weight horizon cost magnitude_limit;
+        d_line = None;
+      }
+
+let check_magnitude ~system app =
+  let x = extent () in
+  Array.iter
+    (fun (t : Task.t) ->
+      add_task x ~release:t.Task.release ~deadline:t.Task.deadline
+        ~compute:t.Task.compute ~demands:t.Task.demands)
+    (App.tasks app);
+  Dag.fold_edges (App.graph app) ~init:() ~f:(fun () ~src:_ ~dst:_ m ->
+      add_message x m);
+  magnitude_diag x
+    ~cost:(cost_sum system ~n_resources:(List.length (App.resource_set app)))
+
 (* ---------------- spec-level checks ---------------- *)
 
 let edge_subject e = Printf.sprintf "edge %s->%s" e.es_src e.es_dst
@@ -363,6 +435,27 @@ let check_spec ~system ~tasks ~edges =
         add ~code:"E105" ~severity:Error "duplicate edge"
       else Hashtbl.add seen_edges (e.es_src, e.es_dst) ())
     edges;
+  (* empty application *)
+  if tasks = [] then
+    add ~code:"W204" ~severity:Warning ~subject:"application" ~line:None
+      "no tasks: every bound and the cost are 0";
+  (* magnitude contract; periodic declarations are checked once unrolled,
+     by [check_windows] *)
+  if periodic = [] then begin
+    let x = extent () in
+    let res = Hashtbl.create 16 in
+    List.iter
+      (fun ts ->
+        add_task x ~release:ts.ts_release ~deadline:ts.ts_deadline
+          ~compute:ts.ts_compute ~demands:ts.ts_demands;
+        Hashtbl.replace res ts.ts_proc ();
+        List.iter (fun (r, _) -> Hashtbl.replace res r ()) ts.ts_demands)
+      tasks;
+    List.iter (fun e -> add_message x e.es_message) edges;
+    Option.iter
+      (fun d -> acc := d :: !acc)
+      (magnitude_diag x ~cost:(cost_sum system ~n_resources:(Hashtbl.length res)))
+  end;
   (* cycles through the whole graph *)
   check_cycles
     (fun ~code ~severity ~subject ~line m -> add ~code ~severity ~subject ~line m)
@@ -380,8 +473,10 @@ let check_spec ~system ~tasks ~edges =
 (* ---------------- post-construction window checks ---------------- *)
 
 let check_windows ?(line_of = fun _ -> None) ~system app =
-  match System.validate_for system app with
-  | Error e ->
+  match
+    (System.validate_for system app, check_magnitude ~system:(Some system) app)
+  with
+  | Error e, _ ->
       [
         {
           d_code = "E103";
@@ -391,8 +486,9 @@ let check_windows ?(line_of = fun _ -> None) ~system app =
           d_line = None;
         };
       ]
-  | Ok () ->
-      let windows = Est_lct.compute system app in
+  | Ok (), Some d -> [ d ]
+  | Ok (), None ->
+      let windows = Analysis.windows system app in
       let acc = ref [] in
       Array.iter
         (fun (task : Task.t) ->

@@ -188,7 +188,7 @@ let expand_demands pt =
       List.init k (fun _ -> r))
     pt.pt_demands
 
-let parse text =
+let construct text =
   let tasks, edge_decls, shared, nodes = scan text in
   let index = Hashtbl.create 16 in
   List.iteri
@@ -295,6 +295,15 @@ let parse text =
   let system = system_of line_of_conflict shared nodes in
   { app; system }
 
+(* The strict path enforces the magnitude contract on the constructed
+   instance (periodic files after unrolling), so no engine ever sees an
+   input whose arithmetic could wrap. *)
+let parse text =
+  let t = construct text in
+  match Rtlb.Validate.check_magnitude ~system:t.system t.app with
+  | None -> t
+  | Some d -> fail 0 "%s %s" d.Rtlb.Validate.d_code d.Rtlb.Validate.d_message
+
 let parse_file path =
   let ic = open_in path in
   let len = in_channel_length ic in
@@ -373,7 +382,7 @@ let check spec =
     (* The spec phase found nothing fatal, so the strict parse is expected
        to succeed; anything it still rejects surfaces as E100 rather than
        an exception. *)
-    match parse spec.spec_source with
+    match construct spec.spec_source with
     | { app; system } ->
         let system =
           match system with

@@ -24,7 +24,11 @@ val parse : string -> t
     @raise Parse_error on malformed input — including semantic problems
       (duplicate task names, edges between undeclared tasks, self loops,
       duplicate edges, precedence cycles), each located at the offending
-      source line.  Never raises [Dag.Cycle] or [Invalid_argument]. *)
+      source line.  Never raises [Dag.Cycle] or [Invalid_argument].
+      Also raises (at line 0, message starting ["E107"]) when the
+      instance breaks the magnitude contract
+      ({!Rtlb.Validate.check_magnitude}), so every command that analyses
+      a file refuses inputs whose integer arithmetic could wrap. *)
 
 val parse_file : string -> t
 (** @raise Parse_error and [Sys_error]. *)

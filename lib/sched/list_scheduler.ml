@@ -228,5 +228,5 @@ let feasible ?priority app platform =
       | Error _ -> false)
 
 let lct_priority system app =
-  let windows = Rtlb.Est_lct.compute system app in
+  let windows = Rtlb.Analysis.windows system app in
   fun i -> windows.Rtlb.Est_lct.lct.(i)

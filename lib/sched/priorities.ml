@@ -13,10 +13,10 @@ let make policy system app =
   | Deadline -> fun i -> (Rtlb.App.task app i).Rtlb.Task.deadline
   | Longest_work_first -> fun i -> -(Rtlb.App.task app i).Rtlb.Task.compute
   | Lct ->
-      let w = Rtlb.Est_lct.compute system app in
+      let w = Rtlb.Analysis.windows system app in
       fun i -> w.Rtlb.Est_lct.lct.(i)
   | Least_slack ->
-      let w = Rtlb.Est_lct.compute system app in
+      let w = Rtlb.Analysis.windows system app in
       fun i ->
         w.Rtlb.Est_lct.lct.(i) - w.Rtlb.Est_lct.est.(i)
         - (Rtlb.App.task app i).Rtlb.Task.compute

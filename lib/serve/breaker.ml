@@ -1,6 +1,6 @@
 (* Per-instance circuit breakers for the serve daemon.
 
-   One breaker per instance fingerprint (the engine+app digest the
+   One breaker per instance fingerprint (the app-text digest the
    cache and coalescer already key on).  An instance whose analysis
    keeps failing (S302 invalid_app, S305 internal) trips its breaker:
 

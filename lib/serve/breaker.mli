@@ -1,6 +1,6 @@
 (** Per-instance circuit breakers for {!Server}.
 
-    One breaker per instance fingerprint (the same engine+app digest
+    One breaker per instance fingerprint (the same app-text digest
     the warm cache and the coalescer key on).  [threshold] consecutive
     analysis failures (S302/S305) trip the fingerprint's breaker open;
     while open, admission fast-fails matching requests with

@@ -5,8 +5,14 @@
    Format (JSON lines, like the wire protocol):
 
      rtlb-journal v1
-     {"sum": "<md5 hex of engine-tag + app>", "engine": "soa", "app": "..."}
+     {"sum": "<md5 hex of app>", "app": "..."}
      ...
+
+   Records written before the engine switch was retired also carry
+   "engine": "record" or "soa", with the tag folded into the checksum
+   (md5 of tag ^ "\000" ^ app).  They still verify, and load under the
+   same key as an untagged record of the same text, so the two tags of
+   one instance collapse into a single warm entry.
 
    Every record carries its own checksum ([sum] is recomputed from the
    payload on load), so the trust discipline can match
@@ -32,57 +38,44 @@ module Chaos = Rtlb_par.Chaos
 
 let header = "rtlb-journal v1"
 
-type entry = { je_engine : [ `Record | `Soa ]; je_app : string }
-
 type t = {
   path : string;
   capacity : int;
   tracer : Tracer.t;
   mutex : Mutex.t;
   mutable fd : Unix.file_descr option;
-  mutable order : (string * entry) list;  (* most recent first *)
+  mutable order : (string * string) list;
+      (* (digest, app), most recent first *)
   mutable file_lines : int;  (* record lines physically in the file *)
   mutable appends : int;  (* chaos replay key (journalcorrupt@N) *)
   mutable dropped : int;  (* corrupt-tail lines dropped at open *)
 }
 
-let engine_name = function `Record -> "record" | `Soa -> "soa"
-
-let engine_of_name = function
-  | "record" -> Some `Record
-  | "soa" -> Some `Soa
-  | _ -> None
-
-let digest_hex engine app =
+let digest_hex ?tag app =
   Digest.to_hex
     (Digest.string
-       ((match engine with `Record -> "record\x00" | `Soa -> "soa\x00") ^ app))
+       (match tag with None -> app | Some tag -> tag ^ "\x00" ^ app))
 
-let render_entry e =
+let render_entry app =
   Json.to_string ~indent:false
-    (Json.Obj
-       [
-         ("sum", Json.Str (digest_hex e.je_engine e.je_app));
-         ("engine", Json.Str (engine_name e.je_engine));
-         ("app", Json.Str e.je_app);
-       ])
+    (Json.Obj [ ("sum", Json.Str (digest_hex app)); ("app", Json.Str app) ])
 
-(* One record line back into an entry; None means the line (and, per
-   the tail discipline, everything after it) is untrusted. *)
+(* One record line back into an app text; None means the line (and,
+   per the tail discipline, everything after it) is untrusted. *)
 let parse_entry line =
   match Json.parse line with
   | exception Json.Parse_error _ -> None
   | Json.Obj fields -> (
-      match
-        ( List.assoc_opt "sum" fields,
-          List.assoc_opt "engine" fields,
-          List.assoc_opt "app" fields )
-      with
-      | Some (Json.Str sum), Some (Json.Str engine), Some (Json.Str app) -> (
-          match engine_of_name engine with
-          | Some je_engine when digest_hex je_engine app = sum ->
-              Some { je_engine; je_app = app }
-          | _ -> None)
+      let tag =
+        match List.assoc_opt "engine" fields with
+        | None -> Ok None
+        | Some (Json.Str ("record" | "soa" as tag)) -> Ok (Some tag)
+        | Some _ -> Error ()
+      in
+      match (tag, List.assoc_opt "sum" fields, List.assoc_opt "app" fields) with
+      | Ok tag, Some (Json.Str sum), Some (Json.Str app)
+        when digest_hex ?tag app = sum ->
+          Some app
       | _ -> None)
   | _ -> None
 
@@ -177,9 +170,7 @@ let open_ ?(tracer = Tracer.null) ~capacity path =
               | [] -> (acc, dropped)
               | line :: rest -> (
                   match parse_entry line with
-                  | Some e ->
-                      walk ((digest_hex e.je_engine e.je_app, e) :: acc)
-                        dropped rest
+                  | Some app -> walk ((digest_hex app, app) :: acc) dropped rest
                   | None -> (acc, List.length rest + 1))
             in
             let newest_first, dropped = walk [] 0 records in
@@ -214,8 +205,8 @@ let write_line fd line =
   in
   push 0
 
-let record t engine ~app =
-  let digest = digest_hex engine app in
+let record t ~app =
+  let digest = digest_hex app in
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
@@ -223,17 +214,16 @@ let record t engine ~app =
       match t.order with
       | (d, _) :: _ when d = digest -> ()  (* already the most recent *)
       | order ->
-          let entry = { je_engine = engine; je_app = app } in
           t.order <-
             take t.capacity
-              ((digest, entry) :: List.filter (fun (d, _) -> d <> digest) order);
+              ((digest, app) :: List.filter (fun (d, _) -> d <> digest) order);
           (match t.fd with
           | None -> ()
           | Some fd -> (
               let seq = t.appends in
               t.appends <- seq + 1;
               try
-                write_line fd (render_entry entry ^ "\n");
+                write_line fd (render_entry app ^ "\n");
                 t.file_lines <- t.file_lines + 1;
                 (* chaos: garble the tail the way a torn write would —
                    the next open must drop it, never trust it *)

@@ -15,7 +15,7 @@
       warm-cache what-if is never stuck behind a million-task cold
       build.
     - {e what-if coalescing}: compatible queued [whatif] requests (same
-      engine and application text) are batched onto one worker pass —
+      application text) are batched onto one worker pass —
       they share one parse and run back-to-back against the same warm
       handle, while keeping the solo execution path per job, so replies
       are byte-identical to sequential one-shot execution.

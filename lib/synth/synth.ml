@@ -24,10 +24,10 @@ let search ?(use_lower_bounds = true) ?priority ?(max_expanded = 20_000)
     !acc
   in
   (* The admissible filter from the paper's analysis. *)
-  let windows = Rtlb.Est_lct.compute system app in
   let bounds =
-    Rtlb.Lower_bound.all ~est:windows.Rtlb.Est_lct.est
-      ~lct:windows.Rtlb.Est_lct.lct app
+    match Rtlb.System.validate_for system app with
+    | Ok () -> (Rtlb.Analysis.run system app).Rtlb.Analysis.bounds
+    | Error _ -> []  (* a task no node hosts fails every eligibility mask *)
   in
   let eligibility =
     Array.to_list (Rtlb.App.tasks app)

@@ -63,6 +63,28 @@ let arb_instance ?(max_tasks = 12) () =
 let shared_of i = Workload.Gen.shared_system i.config
 let dedicated_of i = Workload.Gen.dedicated_system i.config
 
+(* The record test oracle: list-based EST/LCT merge search and the
+   per-resource partition-and-scan bounds, independent of the packed
+   production engine. *)
+let oracle_bounds system app =
+  let w = Rtlb.Est_lct.compute system app in
+  let est = w.Rtlb.Est_lct.est and lct = w.Rtlb.Est_lct.lct in
+  ( w,
+    List.map
+      (Rtlb.Lower_bound.for_resource ~est ~lct app)
+      (Rtlb.App.resource_set app) )
+
+(* A production result equals the oracle in windows, bounds (values,
+   witnesses, partitions), cost and completeness. *)
+let matches_oracle (a : Rtlb.Analysis.t) =
+  let system = a.Rtlb.Analysis.system and app = a.Rtlb.Analysis.app in
+  let w, bounds = oracle_bounds system app in
+  a.Rtlb.Analysis.windows.Rtlb.Est_lct.est = w.Rtlb.Est_lct.est
+  && a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct = w.Rtlb.Est_lct.lct
+  && a.Rtlb.Analysis.bounds = bounds
+  && a.Rtlb.Analysis.cost = Rtlb.Cost.compute system app bounds
+  && a.Rtlb.Analysis.completeness = `Complete
+
 let qtest ?(count = 200) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 

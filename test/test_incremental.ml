@@ -1,32 +1,22 @@
 (* The incremental engine's contract is bit-identity: a query against a
    cached handle must equal a cold Analysis.run on the perturbed
-   application in every observable field — windows (values, merge sets,
-   traces), bounds (values, witnesses, partitions), cost and
-   completeness.  The properties below drive random instances through
-   random edit sequences, the sweep through random factor lists, and the
-   budgeted path through an expired deadline, all against the cold
-   reference; units pin the dirty-cone and cache counters. *)
+   application in every value — windows, bounds (values, witnesses,
+   partitions), cost and completeness — and both must equal the record
+   oracle (Est_lct.compute + Lower_bound.for_resource).  The properties
+   below drive random instances through random edit sequences, the
+   sweep through random factor lists, and the budgeted path through an
+   expired deadline, all against the cold reference and the oracle;
+   units pin the dirty-cone and cache counters. *)
 
 open Helpers
 
-let bound_equal (a : Rtlb.Lower_bound.bound) (b : Rtlb.Lower_bound.bound) =
-  a.Rtlb.Lower_bound.resource = b.Rtlb.Lower_bound.resource
-  && a.Rtlb.Lower_bound.lb = b.Rtlb.Lower_bound.lb
-  && a.Rtlb.Lower_bound.witness = b.Rtlb.Lower_bound.witness
-  && a.Rtlb.Lower_bound.partition = b.Rtlb.Lower_bound.partition
-
-let windows_identical (a : Rtlb.Est_lct.t) (b : Rtlb.Est_lct.t) =
-  a.Rtlb.Est_lct.est = b.Rtlb.Est_lct.est
-  && a.Rtlb.Est_lct.lct = b.Rtlb.Est_lct.lct
-  && a.Rtlb.Est_lct.est_merged = b.Rtlb.Est_lct.est_merged
-  && a.Rtlb.Est_lct.lct_merged = b.Rtlb.Est_lct.lct_merged
-  && a.Rtlb.Est_lct.est_trace = b.Rtlb.Est_lct.est_trace
-  && a.Rtlb.Est_lct.lct_trace = b.Rtlb.Est_lct.lct_trace
-
 let analyses_identical (a : Rtlb.Analysis.t) (b : Rtlb.Analysis.t) =
-  List.length a.Rtlb.Analysis.bounds = List.length b.Rtlb.Analysis.bounds
-  && List.for_all2 bound_equal a.Rtlb.Analysis.bounds b.Rtlb.Analysis.bounds
-  && windows_identical a.Rtlb.Analysis.windows b.Rtlb.Analysis.windows
+  matches_oracle a
+  && a.Rtlb.Analysis.windows.Rtlb.Est_lct.est
+     = b.Rtlb.Analysis.windows.Rtlb.Est_lct.est
+  && a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
+     = b.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
+  && a.Rtlb.Analysis.bounds = b.Rtlb.Analysis.bounds
   && a.Rtlb.Analysis.cost = b.Rtlb.Analysis.cost
   && a.Rtlb.Analysis.completeness = b.Rtlb.Analysis.completeness
 
@@ -220,11 +210,55 @@ let reshape_falls_back () =
        (Rtlb.Incremental.query handle reshaped)
        (Rtlb.Analysis.run system reshaped))
 
+(* Every production entry point against the record oracle, on both
+   system models: the one-shot analysis, the validation window pass,
+   and the incremental handle — its base, a same-shape edit, and a
+   reshaping query that takes the cold fallback. *)
+let production_equals_oracle =
+  qtest ~count:100 "production entry points = record oracle (both models)"
+    QCheck.(pair (arb_instance ~max_tasks:10 ()) small_int)
+    (fun (i, salt) ->
+      let st = Random.State.make [| i.config.Workload.Gen.seed; salt |] in
+      let oracle_diags system =
+        let w, _ = oracle_bounds system i.app in
+        List.filter_map
+          (fun (t : Rtlb.Task.t) ->
+            let e = w.Rtlb.Est_lct.est.(t.Rtlb.Task.id)
+            and l = w.Rtlb.Est_lct.lct.(t.Rtlb.Task.id)
+            and c = t.Rtlb.Task.compute in
+            if e + c > l then Some ("E102", t.Rtlb.Task.name)
+            else if c > 0 && e + c = l then Some ("W203", t.Rtlb.Task.name)
+            else None)
+          (Array.to_list (Rtlb.App.tasks i.app))
+      in
+      let for_model system =
+        let handle = Rtlb.Incremental.create system i.app in
+        let edited =
+          Rtlb.Incremental.edit handle [ gen_edit st i.app ]
+        in
+        let reshaped =
+          Rtlb.App.map_tasks i.app ~f:(fun t ->
+              if t.Rtlb.Task.id = 0 then
+                Rtlb.Task.with_preemptive t (not t.Rtlb.Task.preemptive)
+              else t)
+        in
+        matches_oracle (Rtlb.Analysis.run system i.app)
+        && List.map
+             (fun d -> (d.Rtlb.Validate.d_code, d.Rtlb.Validate.d_subject))
+             (Rtlb.Validate.check_windows ~system i.app)
+           = List.map (fun (c, n) -> (c, "task " ^ n)) (oracle_diags system)
+        && matches_oracle (Rtlb.Incremental.base handle)
+        && matches_oracle edited
+        && matches_oracle (Rtlb.Incremental.query handle reshaped)
+      in
+      for_model (shared_of i) && for_model (dedicated_of i))
+
 let suite =
   [
     ( "incremental",
       [
         edits_equal_cold;
+        production_equals_oracle;
         sweep_equals_cold;
         Alcotest.test_case "partial base never poisons the cache" `Quick
           partial_base_never_poisons;

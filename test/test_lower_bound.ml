@@ -60,7 +60,9 @@ let unused_resource () =
   check_bool "no witness" true (b.Rtlb.Lower_bound.witness = None)
 
 let all_in_res_order () =
-  let bounds = Rtlb.Lower_bound.all ~est ~lct paper in
+  let bounds =
+    (Rtlb.Analysis.run Rtlb.Paper_example.shared paper).Rtlb.Analysis.bounds
+  in
   Alcotest.(check (list string))
     "RES order"
     [ "P1"; "P2"; "r1" ]
@@ -70,9 +72,7 @@ let all_in_res_order () =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let bounds_of i system =
-  let w = Rtlb.Est_lct.compute system i.app in
-  Rtlb.Lower_bound.all ~est:w.Rtlb.Est_lct.est ~lct:w.Rtlb.Est_lct.lct i.app
+let bounds_of i system = (Rtlb.Analysis.run system i.app).Rtlb.Analysis.bounds
 
 let prop_tests =
   [
@@ -117,11 +117,7 @@ let prop_tests =
             (match Sched.Schedule.check i.app platform schedule with
             | Error _ -> false
             | Ok () ->
-                let w = Rtlb.Est_lct.compute system i.app in
-                let bounds =
-                  Rtlb.Lower_bound.all ~est:w.Rtlb.Est_lct.est
-                    ~lct:w.Rtlb.Est_lct.lct i.app
-                in
+                let bounds = bounds_of i system in
                 List.for_all
                   (fun (b : Rtlb.Lower_bound.bound) ->
                     let r = b.Rtlb.Lower_bound.resource in

@@ -4,10 +4,12 @@
 
    The two headline properties, checked on random instances:
 
-   - counters are consistent: a complete traced analysis reports
-     exactly the counts the paper's scan structure predicts
+   - counters are consistent: a complete exhaustive (unpruned) scan
+     reports exactly the counts the paper's scan structure predicts
      (candidate_intervals = theta_evals = sum over partition blocks of
      n(n-1)/2 candidate points, tasks_scanned = sum of |block|*(n-1));
+     the pruned production scan plans the same intervals and work items
+     and executes at most those evaluations;
 
    - tracing is write-only: a traced run's Analysis.result is
      bit-identical to the untraced run's. *)
@@ -58,15 +60,33 @@ let traced_run ?pool system app =
   let analysis = Rtlb.Analysis.run ?pool ~tracer system app in
   (tracer, analysis)
 
+(* The bound pass alone, unpruned: every planned interval is evaluated. *)
+let traced_exhaustive ?pool system app =
+  let tracer = Rtlb_obs.Tracer.make ~clock:(Rtlb_obs.Clock.fake ()) () in
+  let packed = Rtlb.Soa.pack system app in
+  Rtlb.Soa.compute_windows packed;
+  ignore (Rtlb.Soa.bounds ~prune:false ?pool ~tracer packed);
+  tracer
+
 let counter = Rtlb_obs.Tracer.counter
 
-let check_counters label tracer expected =
+(* [pruned]: the production scan skips dominated intervals, so its
+   evaluation counters are bounded by the plan rather than equal to it. *)
+let check_counters ?(pruned = false) label tracer expected =
   check_int (label ^ ": candidate_intervals") expected.e_intervals
     (counter tracer Rtlb_obs.Tracer.Candidate_intervals);
-  check_int (label ^ ": theta_evals") expected.e_intervals
-    (counter tracer Rtlb_obs.Tracer.Theta_evals);
-  check_int (label ^ ": tasks_scanned") expected.e_scanned
-    (counter tracer Rtlb_obs.Tracer.Tasks_scanned);
+  if pruned then begin
+    check_bool (label ^ ": theta_evals within the plan") true
+      (counter tracer Rtlb_obs.Tracer.Theta_evals <= expected.e_intervals);
+    check_bool (label ^ ": tasks_scanned within the plan") true
+      (counter tracer Rtlb_obs.Tracer.Tasks_scanned <= expected.e_scanned)
+  end
+  else begin
+    check_int (label ^ ": theta_evals") expected.e_intervals
+      (counter tracer Rtlb_obs.Tracer.Theta_evals);
+    check_int (label ^ ": tasks_scanned") expected.e_scanned
+      (counter tracer Rtlb_obs.Tracer.Tasks_scanned)
+  end;
   check_int (label ^ ": no deadline cancellations") 0
     (counter tracer Rtlb_obs.Tracer.Deadline_cancels);
   let workers = Rtlb_obs.Tracer.worker_stats tracer in
@@ -87,27 +107,38 @@ let check_counters label tracer expected =
 let paper = Rtlb.Paper_example.app
 
 let counters_on_paper_example () =
-  let expected = expected_counts Rtlb.Paper_example.shared paper in
-  let tracer, _ = traced_run Rtlb.Paper_example.shared paper in
-  check_counters "sequential" tracer expected;
+  let system = Rtlb.Paper_example.shared in
+  let expected = expected_counts system paper in
+  check_counters "sequential" (traced_exhaustive system paper) expected;
+  check_counters ~pruned:true "analysis" (fst (traced_run system paper))
+    expected;
   Rtlb_par.Pool.with_pool ~jobs:Test_par.test_jobs (fun pool ->
-      let tracer, _ = traced_run ~pool Rtlb.Paper_example.shared paper in
-      check_counters "pooled" tracer expected)
+      check_counters "pooled" (traced_exhaustive ~pool system paper) expected;
+      check_counters ~pruned:true "pooled analysis"
+        (fst (traced_run ~pool system paper))
+        expected)
 
 let counters_prop =
   qtest ~count:100 "traced counters match the scan plan (random instances)"
     (arb_instance ~max_tasks:14 ()) (fun i ->
       let system = shared_of i in
       let expected = expected_counts system i.app in
-      let tracer, _ = traced_run system i.app in
+      let items tracer =
+        List.fold_left
+          (fun a (_, _, items) -> a + items)
+          0
+          (Rtlb_obs.Tracer.worker_stats tracer)
+      in
+      let tracer = traced_exhaustive system i.app in
+      let pruned, _ = traced_run system i.app in
       counter tracer Rtlb_obs.Tracer.Candidate_intervals = expected.e_intervals
       && counter tracer Rtlb_obs.Tracer.Theta_evals = expected.e_intervals
       && counter tracer Rtlb_obs.Tracer.Tasks_scanned = expected.e_scanned
-      && List.fold_left
-           (fun a (_, _, items) -> a + items)
-           0
-           (Rtlb_obs.Tracer.worker_stats tracer)
-         = expected.e_items)
+      && items tracer = expected.e_items
+      && counter pruned Rtlb_obs.Tracer.Candidate_intervals = expected.e_intervals
+      && counter pruned Rtlb_obs.Tracer.Theta_evals <= expected.e_intervals
+      && counter pruned Rtlb_obs.Tracer.Tasks_scanned <= expected.e_scanned
+      && items pruned = expected.e_items)
 
 (* ------------------------------------------------------------------ *)
 (* Tracing is write-only telemetry                                     *)

@@ -88,6 +88,7 @@ let protocol_strict () =
   reject {|{"op": "fly", "app": ""}|} "unknown op";
   reject {|{"op": "analyze", "app": "", "surprise": 1}|} "surprise";
   reject {|{"op": "analyze", "app": "", "engine": "simd"}|} "simd";
+  reject {|{"op": "analyze", "app": "", "engine": 1}|} "engine";
   reject {|{"op": "analyze", "app": "", "deadline_ms": -1}|} "deadline_ms";
   reject {|{"op": "whatif", "app": ""}|} "edits";
   reject {|{"op": "whatif", "app": "", "edits": []}|} "empty";
@@ -105,7 +106,12 @@ let protocol_strict () =
   | Error m -> Alcotest.failf "well-formed request rejected: %s" m
   | Ok req ->
       check_bool "id echoed" true (req.Protocol.id = Json.Int 9);
-      check_bool "engine decoded" true (req.Protocol.engine = `Soa);
+      check_bool "retired engine field is a no-op" true
+        (Protocol.request_of_json
+           (Json.parse
+              {|{"id": 9, "op": "whatif", "app": "x",
+                 "edits": [{"task": 1, "deadline": 12, "release": 2}]}|})
+        = Ok req);
       check_int "two edits from one object" 2 (List.length req.Protocol.edits)
 
 (* ------------------------------------------------------------------ *)
@@ -129,9 +135,30 @@ let cache_lru () =
   check_bool "checkout removes the entry" true
     (Cache.checkout cache "c" = None);
   check_int "only b left" 1 (Cache.length cache);
-  check_bool "engine tags split the key space" true
-    (Cache.key ~engine:`Record system paper
-    <> Cache.key ~engine:`Soa system paper)
+  check_string "the key is the instance fingerprint"
+    (Rtlb.Incremental.instance_fingerprint system paper)
+    (Cache.key system paper);
+  (* requests that still name an engine share one key and one warm
+     handle: the second is a cache hit with the identical reply *)
+  with_server (fun t ->
+      let analyze engine =
+        request t
+          (frame
+             [
+               ("op", Json.Str "analyze");
+               ("app", Json.Str paper_text);
+               ("engine", Json.Str engine);
+             ])
+      in
+      let r1 = analyze "record" in
+      let r2 = analyze "soa" in
+      check_bool "both engine tags answered" true (is_ok r1 && is_ok r2);
+      check_string "identical replies" (result_line r1) (result_line r2);
+      let stats = Json.member "result" (request t (frame [ ("op", Json.Str "stats") ])) in
+      check_bool "one cold build for both tags" true
+        (Json.member "cold_builds" stats = Json.Int 1);
+      check_bool "one cache entry for both tags" true
+        (Json.member "cache_entries" stats = Json.Int 1))
 
 (* ------------------------------------------------------------------ *)
 (* Admission control and drain                                         *)
@@ -224,6 +251,41 @@ let isolation () =
              ])
       in
       check_bool "unhostable app is a structured error" false (is_ok unhostable);
+      (* magnitudes whose arithmetic would wrap: refused at parse time *)
+      let wrapping =
+        "task A compute=2305843009213693951 deadline=4611686018427387903 proc=P\n\
+         task B compute=2305843009213693951 deadline=4611686018427387903 proc=P\n\
+         edge A B 2305843009213693951\n"
+      in
+      List.iter
+        (fun op ->
+          let reply =
+            request t
+              (frame
+                 ([ ("op", Json.Str op); ("app", Json.Str wrapping) ]
+                 @
+                 if op = "whatif" then
+                   [
+                     ( "edits",
+                       Json.List
+                         [ Json.Obj [ ("task", Json.Int 0); ("compute", Json.Int 1) ] ]
+                     );
+                   ]
+                 else []))
+          in
+          check_string (op ^ " beyond the magnitude contract -> S302") "S302"
+            (error_code reply);
+          check_bool (op ^ ": S302 carries E107") true
+            (string_contains ~needle:"E107"
+               (match Json.member "message" (Json.member "error" reply) with
+               | Json.Str m -> m
+               | _ -> "")))
+        [ "analyze"; "whatif" ];
+      let checked =
+        request t (frame [ ("op", Json.Str "check"); ("app", Json.Str wrapping) ])
+      in
+      check_bool "check reports E107" true
+        (string_contains ~needle:"E107" (result_line checked));
       let bad_edit =
         request t
           (frame
@@ -263,18 +325,17 @@ let storm_requests () =
       let text = Rtfmt.Appfile.to_string app in
       let system = uniform app in
       let record = Rtlb.Analysis.run system app in
-      let soa = Rtlb.Soa.analyze system app in
       let d0 = (Rtlb.App.task app 0).Rtlb.Task.deadline in
       let edits = [ Rtlb.Incremental.Set_deadline { task = 0; deadline = d0 + 7 } ] in
       let edited = Rtlb.Analysis.run system (Rtlb.Incremental.apply app edits) in
       [
         {
-          e_label = "analyze/record";
+          e_label = "analyze";
           e_line = frame [ ("op", Json.Str "analyze"); ("app", Json.Str text) ];
           e_want = Protocol.to_line (Json.of_analysis record);
         };
         {
-          e_label = "analyze/soa";
+          e_label = "analyze/retired engine field";
           e_line =
             frame
               [
@@ -282,7 +343,7 @@ let storm_requests () =
                 ("app", Json.Str text);
                 ("engine", Json.Str "soa");
               ];
-          e_want = Protocol.to_line (Json.of_analysis soa);
+          e_want = Protocol.to_line (Json.of_analysis record);
         };
         {
           e_label = "whatif";
@@ -1074,22 +1135,16 @@ let journal_roundtrip () =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
   let j = Journal.open_ ~capacity:3 path in
-  Journal.record j `Record ~app:"a";
-  Journal.record j `Soa ~app:"a";
-  (* same text, different engine: distinct instances *)
-  Journal.record j `Record ~app:"b";
-  Journal.record j `Record ~app:"a";
+  Journal.record j ~app:"a";
+  Journal.record j ~app:"c";
+  Journal.record j ~app:"b";
+  Journal.record j ~app:"a";
   (* refresh: moves to front *)
-  Journal.record j `Record ~app:"a";
+  Journal.record j ~app:"a";
   (* duplicate head: no-op *)
   check_int "recency-deduped length" 3 (Journal.length j);
-  (match Journal.entries j with
-  | [ e1; e2; e3 ] ->
-      check_string "most recent first" "a" e1.Journal.je_app;
-      check_bool "engine preserved" true (e1.Journal.je_engine = `Record);
-      check_string "then b" "b" e2.Journal.je_app;
-      check_bool "then the soa one" true (e3.Journal.je_engine = `Soa)
-  | es -> Alcotest.failf "expected 3 entries, got %d" (List.length es));
+  Alcotest.(check (list string))
+    "most recent first" [ "a"; "b"; "c" ] (Journal.entries j);
   Journal.close j;
   let j2 = Journal.open_ ~capacity:3 path in
   check_int "reopen preserves the live set" 3 (Journal.length j2);
@@ -1098,12 +1153,11 @@ let journal_roundtrip () =
   Journal.close j2;
   let j3 = Journal.open_ ~capacity:1 path in
   check_int "tighter capacity trims to most recent" 1 (Journal.length j3);
-  (match Journal.entries j3 with
-  | [ e ] -> check_string "the survivor is the most recent" "a" e.Journal.je_app
-  | _ -> Alcotest.fail "expected 1 entry");
+  Alcotest.(check (list string))
+    "the survivor is the most recent" [ "a" ] (Journal.entries j3);
   (* compaction: enough distinct appends to pass max(2*cap, 8) *)
   for i = 0 to 11 do
-    Journal.record j3 `Record ~app:(Printf.sprintf "app%d" i)
+    Journal.record j3 ~app:(Printf.sprintf "app%d" i)
   done;
   Journal.close j3;
   let stat = Unix.stat path in
@@ -1114,6 +1168,64 @@ let journal_roundtrip () =
     (Journal.length j4 >= 1 && Journal.dropped_tail j4 = 0);
   Journal.close j4
 
+(* Records from before the engine switch was retired carry an "engine"
+   tag inside their checksum.  They must still verify, and both tags of
+   one text must replay into the single key of the untagged text. *)
+let journal_legacy_tags () =
+  let path = temp_path ".journal" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let tagged tag app =
+    Rtfmt.Json.to_string ~indent:false
+      (Json.Obj
+         [
+           ("sum", Json.Str (Digest.to_hex (Digest.string (tag ^ "\x00" ^ app))));
+           ("engine", Json.Str tag);
+           ("app", Json.Str app);
+         ])
+  in
+  let write lines =
+    Out_channel.with_open_bin path (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) ("rtlb-journal v1" :: lines))
+  in
+  write [ tagged "record" "a"; tagged "soa" "a"; tagged "soa" "b" ];
+  let j = Journal.open_ ~capacity:4 path in
+  check_int "tagged records verify" 0 (Journal.dropped_tail j);
+  Alcotest.(check (list string))
+    "both tags of one text load as one entry" [ "b"; "a" ] (Journal.entries j);
+  (* a new record of the same text refreshes that entry, not a twin *)
+  Journal.record j ~app:"a";
+  Alcotest.(check (list string)) "untagged record joins the key" [ "a"; "b" ]
+    (Journal.entries j);
+  Journal.close j;
+  (* a tag outside the two retired engines is untrusted *)
+  write [ tagged "record" "a"; tagged "simd" "x"; tagged "soa" "b" ];
+  let j2 = Journal.open_ ~capacity:4 path in
+  check_int "unknown tag drops itself and the rest" 2 (Journal.dropped_tail j2);
+  Alcotest.(check (list string)) "trusted prefix" [ "a" ] (Journal.entries j2);
+  Journal.close j2;
+  (* a daemon replaying both tags builds one warm handle *)
+  write [ tagged "record" paper_text; tagged "soa" paper_text ];
+  let journal = Journal.open_ ~capacity:4 path in
+  (* one worker: the replay job runs (or coalesces with the request)
+     before the request can race it to a second cold build *)
+  let config =
+    { (quick_config ()) with Server.journal = Some journal; workers = 1 }
+  in
+  let t = Server.create ~config () in
+  Fun.protect ~finally:(fun () ->
+      Server.shutdown t;
+      Journal.close journal)
+  @@ fun () ->
+  let reply =
+    request t (frame [ ("op", Json.Str "analyze"); ("app", Json.Str paper_text) ])
+  in
+  check_bool "analyze answered" true (is_ok reply);
+  let stats = Json.member "result" (request t (frame [ ("op", Json.Str "stats") ])) in
+  check_bool "one cold build across replay and request" true
+    (Json.member "cold_builds" stats = Json.Int 1);
+  check_bool "one cache entry" true (Json.member "cache_entries" stats = Json.Int 1)
+
 (* corrupt tails: garbage lines, checksum mismatches and torn appends
    are dropped together with everything after them, and the clean
    prefix is repaired in place *)
@@ -1122,8 +1234,8 @@ let journal_corrupt_tail () =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
   let j = Journal.open_ ~capacity:4 path in
-  Journal.record j `Record ~app:"keep1";
-  Journal.record j `Record ~app:"keep2";
+  Journal.record j ~app:"keep1";
+  Journal.record j ~app:"keep2";
   Journal.close j;
   (* a torn append: valid-looking JSON with no trailing newline *)
   let append s =
@@ -1180,10 +1292,10 @@ let journal_chaos_corrupt () =
   in
   with_chaos plan (fun () ->
       let j = Journal.open_ ~capacity:4 path in
-      Journal.record j `Record ~app:"first";
-      Journal.record j `Record ~app:"second";
+      Journal.record j ~app:"first";
+      Journal.record j ~app:"second";
       (* append #1: garbled after the record *)
-      Journal.record j `Record ~app:"third";
+      Journal.record j ~app:"third";
       Journal.close j;
       check_int "the corruption fired once" 1 (Chaos.fired_journal_corrupts ()));
   let j2 = Journal.open_ ~capacity:4 path in
@@ -1428,6 +1540,8 @@ let suite =
           breaker_machine;
         Alcotest.test_case "breaker: S308 fast-fail end to end" `Quick
           breaker_s308;
+        Alcotest.test_case "journal: legacy engine tags replay into one key"
+          `Quick journal_legacy_tags;
         Alcotest.test_case "journal: round-trip, recency, compaction" `Quick
           journal_roundtrip;
         Alcotest.test_case "journal: corrupt tails dropped, never trusted"

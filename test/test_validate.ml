@@ -203,6 +203,144 @@ let parse_cycle_is_parse_error () =
      edge c a 0\n"
 
 (* ------------------------------------------------------------------ *)
+(* Magnitude contract (E107) and empty applications (W204)              *)
+(* ------------------------------------------------------------------ *)
+
+(* Two tasks near 2^61 joined by a 2^61 message: E + C + m wraps
+   around max_int, so every entry point must refuse the instance. *)
+let wrapping_src =
+  "task A compute=2305843009213693951 deadline=4611686018427387903 proc=P2\n\
+   task B compute=2305843009213693951 deadline=4611686018427387903 proc=P2\n\
+   edge A B 2305843009213693951\n\
+   shared P2=1\n"
+
+let code_magnitude () =
+  let diags = check_src wrapping_src in
+  check_bool "check reports E107" true (has_code "E107" diags);
+  check_bool "E107 is an error" true (Rtlb.Validate.has_errors diags);
+  expect_parse_error ~line:0 ~needle:"E107" wrapping_src;
+  let app =
+    let task id name =
+      Rtlb.Task.make ~id ~name ~compute:((1 lsl 61) - 1) ~deadline:max_int
+        ~proc:"P2" ()
+    in
+    Rtlb.App.make ~tasks:[ task 0 "A"; task 1 "B" ]
+      ~edges:[ (0, 1, (1 lsl 61) - 1) ]
+  in
+  check_bool "Validate.check on the constructed app reports E107" true
+    (has_code "E107" (Rtlb.Validate.check app));
+  check_bool "check_windows refuses it before the sweep" true
+    (codes
+       (Rtlb.Validate.check_windows
+          ~system:(Rtlb.System.shared ~costs:[ ("P2", 1) ])
+          app)
+    = [ "E107" ]);
+  (* a periodic file is checked once unrolled: one job of a 2^60 period *)
+  let periodic =
+    "task T compute=1 period=1152921504606846976 proc=P\nshared P=1\n"
+  in
+  check_bool "unrolled periodic instance reports E107" true
+    (has_code "E107" (check_src periodic));
+  expect_parse_error ~line:0 ~needle:"E107" periodic
+
+let code_empty () =
+  let diags = check_src "# nothing declared\n" in
+  check_bool "W204 only" true (codes diags = [ "W204" ]);
+  check_bool "a warning, not an error" false (Rtlb.Validate.has_errors diags);
+  let empty = Rtlb.App.make ~tasks:[] ~edges:[] in
+  check_bool "Validate.check on an empty app warns W204" true
+    (codes (Rtlb.Validate.check empty) = [ "W204" ])
+
+(* Random 1-4-task instances whose magnitude sits just inside the
+   contract: every quantity is drawn so that W * H * (1 + K) stays below
+   the limit, with H close to its largest allowed value.  They must be
+   accepted everywhere, and the production engine must still equal the
+   record oracle — no intermediate wraps.  Raising one deadline by the
+   limit must be refused. *)
+let near_bound_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 1 4 in
+  let* units = list_repeat n (int_range 0 2) in
+  let* preemptive = list_repeat n bool in
+  let* edges =
+    map
+      (fun l -> List.concat (List.concat l))
+      (flatten_l
+         (List.init n (fun j ->
+              flatten_l
+                (List.init j (fun i ->
+                     map (fun b -> if b then [ (i, j) ] else []) bool)))))
+  in
+  let weight = n + List.fold_left ( + ) 0 units in
+  let cost = 4 (* max of the shared (1 + 2) and dedicated (3 + 1) sums *) in
+  let h = Rtlb.Validate.magnitude_limit / (weight * (1 + cost)) in
+  let peak = h / 2 and share = h / 2 / (n + List.length edges) in
+  let* fracs = list_repeat (n + List.length edges) (float_range 0.5 1.0) in
+  let* spans = list_repeat (2 * n) (float_range 0.0 1.0) in
+  let scaled f x = int_of_float (f *. float_of_int x) in
+  let computes = List.filteri (fun k _ -> k < n) fracs in
+  let messages = List.filteri (fun k _ -> k >= n) fracs in
+  let tasks =
+    List.mapi
+      (fun i f ->
+        let c = min (scaled f share) peak in
+        let release = scaled (List.nth spans (2 * i)) (peak - c) in
+        let deadline =
+          release + c + scaled (List.nth spans ((2 * i) + 1)) (peak - release - c)
+        in
+        Rtlb.Task.make ~id:i ~name:(Printf.sprintf "T%d" i) ~compute:c ~release
+          ~deadline ~proc:"P"
+          ~resources:(List.init (List.nth units i) (fun _ -> "r"))
+          ~preemptive:(List.nth preemptive i) ())
+      computes
+  in
+  let edges =
+    List.map2 (fun (i, j) f -> (i, j, scaled f share)) edges messages
+  in
+  return (Rtlb.App.make ~tasks ~edges)
+
+let near_bound_systems =
+  [
+    Rtlb.System.shared ~costs:[ ("P", 1); ("r", 2) ];
+    Rtlb.System.dedicated
+      [
+        Rtlb.System.node_type ~name:"N1" ~proc:"P" ~provides:[ ("r", 2) ] ~cost:3 ();
+        Rtlb.System.node_type ~name:"N2" ~proc:"P" ~cost:1 ();
+      ];
+  ]
+
+let near_bound_equals_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"near-bound instances: accepted, production = oracle"
+       ~print:(fun app -> Rtfmt.Appfile.to_string app)
+       near_bound_gen
+       (fun app ->
+         List.for_all
+           (fun system ->
+             let text = Rtfmt.Appfile.to_string ~system app in
+             let over =
+               Rtlb.App.map_tasks app ~f:(fun t ->
+                   if t.Rtlb.Task.id = 0 then
+                     Rtlb.Task.with_deadline t
+                       (t.Rtlb.Task.deadline + Rtlb.Validate.magnitude_limit)
+                   else t)
+             in
+             Rtlb.Validate.check_magnitude ~system:(Some system) app = None
+             && (Rtfmt.Appfile.parse text).Rtfmt.Appfile.app = app
+             && (not (has_code "E107" (check_src text)))
+             && matches_oracle (Rtlb.Analysis.run system app)
+             && Rtlb.Validate.check_magnitude ~system:(Some system) over <> None
+             &&
+             match
+               Rtfmt.Appfile.parse (Rtfmt.Appfile.to_string ~system over)
+             with
+             | _ -> false
+             | exception Rtfmt.Appfile.Parse_error (_, m) ->
+                 string_contains ~needle:"E107" m)
+           near_bound_systems))
+
+(* ------------------------------------------------------------------ *)
 (* Properties over generated instances                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -303,6 +441,10 @@ let suite =
         Alcotest.test_case "E105 duplicate edge" `Quick code_duplicate_edge;
         Alcotest.test_case "E106 mixed periodic/one-shot" `Quick
           code_mixed_periodic;
+        Alcotest.test_case "E107 magnitude contract at every boundary" `Quick
+          code_magnitude;
+        Alcotest.test_case "W204 empty application" `Quick code_empty;
+        near_bound_equals_oracle;
         Alcotest.test_case "W201/W202 are warnings, not errors" `Quick
           code_warnings_clean_exit;
         Alcotest.test_case "validation is exhaustive, not fail-fast" `Quick
