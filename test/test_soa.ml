@@ -5,8 +5,8 @@
    and completeness must all match exactly — merge sets and traces are
    the one documented divergence (Soa leaves them empty).  The
    properties below assert that identity over random instances on both
-   system models, round-trip the packed representation back to the
-   application, and pin the pruned interval scan to the unpruned
+   system models and through random incremental edits, round-trip the
+   packed representation back to the application, and pin the pruned interval scan to the unpruned
    reference.  Units cover the paper example, the examples/ file, the
    frame-structured scaling workload, the domain-pool path and host
    masks wider than one word. *)
@@ -140,6 +140,53 @@ let frames_deterministic () =
   check_string "same seed, same app" (Rtfmt.Appfile.to_string a)
     (Rtfmt.Appfile.to_string b)
 
+(* --- incremental engine over packed arrays --------------------------- *)
+
+let gen_edit st app =
+  let n = Rtlb.App.n_tasks app in
+  let i = Random.State.int st n in
+  let t = Rtlb.App.task app i in
+  let release = t.Rtlb.Task.release
+  and deadline = t.Rtlb.Task.deadline
+  and compute = t.Rtlb.Task.compute in
+  match Random.State.int st 3 with
+  | 0 ->
+      Rtlb.Incremental.Set_deadline
+        { task = i; deadline = release + compute + Random.State.int st 21 }
+  | 1 ->
+      Rtlb.Incremental.Set_release
+        { task = i; release = Random.State.int st (deadline - compute + 1) }
+  | _ ->
+      Rtlb.Incremental.Set_compute
+        { task = i; compute = Random.State.int st (deadline - release + 1) }
+
+(* The handle always runs on the packed engine; the test keeps the name
+   it had when that engine was selected with ~engine:`Soa. *)
+let incremental_soa_equals_cold =
+  qtest ~count:100 "Incremental ~engine:`Soa = cold run under random edits"
+    QCheck.(pair (arb_instance ~max_tasks:10 ()) small_int)
+    (fun (i, salt) ->
+      let system = shared_of i in
+      let st = Random.State.make [| i.config.Workload.Gen.seed; salt |] in
+      let handle = Rtlb.Incremental.create system i.app in
+      assert (
+        values_identical
+          (Rtlb.Incremental.base handle)
+          (Rtlb.Analysis.run system i.app));
+      let rec go k edits =
+        k = 0
+        ||
+        let edits =
+          edits @ [ gen_edit st (Rtlb.Incremental.apply i.app edits) ]
+        in
+        let app' = Rtlb.Incremental.apply i.app edits in
+        let q = Rtlb.Incremental.query handle app' in
+        values_identical q (Rtlb.Analysis.run system app')
+        && matches_oracle q
+        && go (k - 1) edits
+      in
+      go (1 + (salt mod 4)) [])
+
 (* --- domain-pool path ----------------------------------------------- *)
 
 let pool_identical () =
@@ -186,6 +233,7 @@ let suite =
         Alcotest.test_case "paper example windows" `Quick paper_example_windows;
         pruned_equals_unpruned;
         Alcotest.test_case "70 node types = record oracle" `Quick wide_catalogue;
+        incremental_soa_equals_cold;
         Alcotest.test_case "frame workload identity" `Quick frames_identical;
         Alcotest.test_case "frame workload determinism" `Quick
           frames_deterministic;
