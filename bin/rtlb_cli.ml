@@ -396,26 +396,33 @@ let schedule_cmd =
 (* ---- generate --------------------------------------------------- *)
 
 let generate_cmd =
+  (* [frames] is not a [Workload.Gen.shape]: it is the frame-structured
+     generator [Workload.Gen.layered_frames], sparse at any size. *)
   let shape_conv =
     let parse = function
-      | "layered" -> Ok (Workload.Gen.Layered { layers = 4; density = 0.4 })
-      | "series-parallel" | "sp" -> Ok Workload.Gen.Series_parallel
-      | "fork-join" | "fj" -> Ok (Workload.Gen.Fork_join { width = 4 })
-      | "out-tree" -> Ok Workload.Gen.Out_tree
-      | "in-tree" -> Ok Workload.Gen.In_tree
-      | "gauss" -> Ok (Workload.Gen.Gauss { size = 5 })
-      | "fft" -> Ok (Workload.Gen.Fft { points = 8 })
-      | "stencil" -> Ok (Workload.Gen.Stencil { rows = 4; cols = 5 })
-      | "chain" -> Ok Workload.Gen.Chain
-      | "independent" -> Ok Workload.Gen.Independent
+      | "frames" -> Ok `Frames
+      | "layered" -> Ok (`Gen (Workload.Gen.Layered { layers = 4; density = 0.4 }))
+      | "series-parallel" | "sp" -> Ok (`Gen Workload.Gen.Series_parallel)
+      | "fork-join" | "fj" -> Ok (`Gen (Workload.Gen.Fork_join { width = 4 }))
+      | "out-tree" -> Ok (`Gen Workload.Gen.Out_tree)
+      | "in-tree" -> Ok (`Gen Workload.Gen.In_tree)
+      | "gauss" -> Ok (`Gen (Workload.Gen.Gauss { size = 5 }))
+      | "fft" -> Ok (`Gen (Workload.Gen.Fft { points = 8 }))
+      | "stencil" -> Ok (`Gen (Workload.Gen.Stencil { rows = 4; cols = 5 }))
+      | "chain" -> Ok (`Gen Workload.Gen.Chain)
+      | "independent" -> Ok (`Gen Workload.Gen.Independent)
       | s -> Error (`Msg (Printf.sprintf "unknown shape %S" s))
     in
-    Arg.conv (parse, fun ppf s -> Format.fprintf ppf "%s" (Workload.Gen.shape_name s))
+    let print ppf = function
+      | `Frames -> Format.pp_print_string ppf "frames"
+      | `Gen s -> Format.pp_print_string ppf (Workload.Gen.shape_name s)
+    in
+    Arg.conv (parse, print)
   in
   let shape_arg =
     Arg.(
       value
-      & opt shape_conv (Workload.Gen.Layered { layers = 4; density = 0.4 })
+      & opt shape_conv (`Gen (Workload.Gen.Layered { layers = 4; density = 0.4 }))
       & info [ "shape" ] ~docv:"SHAPE")
   in
   let tasks_arg = Arg.(value & opt int 20 & info [ "tasks"; "n" ] ~docv:"N") in
@@ -425,12 +432,24 @@ let generate_cmd =
     Arg.(value & opt float 1.5 & info [ "laxity" ] ~docv:"L")
   in
   let run shape n_tasks seed ccr laxity =
-    let cfg =
-      { Workload.Gen.default with Workload.Gen.shape; n_tasks; seed; ccr; laxity }
-    in
-    let app = Workload.Gen.generate cfg in
-    print_string
-      (Rtfmt.Appfile.to_string ~system:(Workload.Gen.shared_system cfg) app)
+    match shape with
+    | `Frames ->
+        (* 100-task frames, the last one filled up: -n is rounded up to
+           a whole number of frames. *)
+        let tasks_per_frame = max 1 (min 100 n_tasks) in
+        let frames = max 1 ((n_tasks + tasks_per_frame - 1) / tasks_per_frame) in
+        let app =
+          Workload.Gen.layered_frames ~seed ~frames ~tasks_per_frame ~laxity ()
+        in
+        print_string
+          (Rtfmt.Appfile.to_string ~system:(Workload.Gen.frame_system ()) app)
+    | `Gen shape ->
+        let cfg =
+          { Workload.Gen.default with Workload.Gen.shape; n_tasks; seed; ccr; laxity }
+        in
+        let app = Workload.Gen.generate cfg in
+        print_string
+          (Rtfmt.Appfile.to_string ~system:(Workload.Gen.shared_system cfg) app)
   in
   let doc = "Generate a synthetic application in the appfile format." in
   Cmd.v

@@ -4,6 +4,17 @@ type t = {
   resource_set : string list;  (* cached RES *)
 }
 
+let negative_message () = invalid_arg "App.make: negative message size"
+
+let with_graph tasks graph =
+  let resource_set =
+    Array.fold_left
+      (fun acc task -> List.rev_append (Task.needs task) acc)
+      [] tasks
+    |> List.sort_uniq String.compare
+  in
+  { tasks; graph; resource_set }
+
 let make ~tasks ~edges =
   let n = List.length tasks in
   let arr = Array.make n None in
@@ -25,18 +36,21 @@ let make ~tasks ~edges =
         | None -> invalid_arg "App.make: missing task id")
       arr
   in
-  List.iter
-    (fun (_, _, m) ->
-      if m < 0 then invalid_arg "App.make: negative message size")
-    edges;
-  let graph = Dag.create ~n ~edges in
-  let resource_set =
-    Array.fold_left
-      (fun acc task -> List.rev_append (Task.needs task) acc)
-      [] tasks
-    |> List.sort_uniq String.compare
-  in
-  { tasks; graph; resource_set }
+  List.iter (fun (_, _, m) -> if m < 0 then negative_message ()) edges;
+  with_graph tasks (Dag.create ~n ~edges)
+
+let of_graph ~tasks graph =
+  if Array.length tasks <> Dag.n_vertices graph then
+    invalid_arg "App.of_graph: task count differs from the graph size";
+  Array.iteri
+    (fun i (task : Task.t) ->
+      if task.Task.id <> i then
+        invalid_arg
+          (Printf.sprintf "App.of_graph: task %d at index %d" task.Task.id i))
+    tasks;
+  Dag.fold_edges graph ~init:() ~f:(fun () ~src:_ ~dst:_ m ->
+      if m < 0 then negative_message ());
+  with_graph (Array.copy tasks) graph
 
 let n_tasks t = Array.length t.tasks
 let task t i = t.tasks.(i)

@@ -12,6 +12,13 @@ val make : tasks:Task.t list -> edges:(int * int * int) list -> t
       sizes, or malformed edges.
     @raise Dag.Cycle when the precedence relation is cyclic. *)
 
+val of_graph : tasks:Task.t array -> Dag.t -> t
+(** [of_graph ~tasks graph] builds an application on an already built
+    precedence graph; [tasks.(i)] must have id [i] and there must be one
+    task per vertex.  The array is copied.
+    @raise Invalid_argument on an id or size mismatch, or a negative
+      message size (with {!make}'s message). *)
+
 val n_tasks : t -> int
 val task : t -> int -> Task.t
 val tasks : t -> Task.t array

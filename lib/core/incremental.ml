@@ -74,33 +74,78 @@ let cached_blocks t = Hashtbl.length t.i_cache
    the graph with weights, and the system model.  Checkpoint files are
    keyed by this so a resume against an edited instance is detected as
    stale rather than silently splicing in samples of a different
-   problem. *)
+   problem.  The serve cache and the journal key on it too, so it is
+   written byte by byte, without a format interpreter. *)
 let instance_fingerprint system app =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let buf =
+    Buffer.create
+      ((64 * App.n_tasks app) + (16 * Dag.n_edges (App.graph app)) + 256)
+  in
+  let str = Buffer.add_string buf and chr = Buffer.add_char buf in
+  (* What [%d] prints. *)
+  let digits = Bytes.create 20 in
+  let int i =
+    if i = min_int then str (string_of_int i)
+    else begin
+      if i < 0 then chr '-';
+      let rec fill v k =
+        Bytes.unsafe_set digits k (Char.unsafe_chr (48 + (v mod 10)));
+        if v >= 10 then fill (v / 10) (k - 1) else k
+      in
+      let k = fill (abs i) 19 in
+      Buffer.add_subbytes buf digits k (20 - k)
+    end
+  in
+  let field v =
+    chr '|';
+    int v
+  in
+  let pair sep r c =
+    chr sep;
+    str r;
+    chr '=';
+    int c
+  in
   (match system with
   | System.Shared costs ->
-      add "shared";
-      List.iter (fun (r, c) -> add "|%s=%d" r c) costs
+      str "shared";
+      List.iter (fun (r, c) -> pair '|' r c) costs
   | System.Dedicated nts ->
-      add "dedicated";
+      str "dedicated";
       List.iter
         (fun nt ->
-          add "|%s:%s:%d" nt.System.nt_name nt.System.nt_proc
-            nt.System.nt_cost;
-          List.iter (fun (r, c) -> add ",%s=%d" r c) nt.System.nt_provides)
+          chr '|';
+          str nt.System.nt_name;
+          chr ':';
+          str nt.System.nt_proc;
+          chr ':';
+          int nt.System.nt_cost;
+          List.iter (fun (r, c) -> pair ',' r c) nt.System.nt_provides)
         nts);
   for i = 0 to App.n_tasks app - 1 do
     let t = App.task app i in
-    add "\nT%d|%s|%d|%d|%d|%s|%b" t.Task.id t.Task.name t.Task.compute
-      t.Task.release t.Task.deadline t.Task.proc t.Task.preemptive;
-    List.iter (fun (r, u) -> add "|%s=%d" r u) t.Task.demands
+    str "\nT";
+    int t.Task.id;
+    chr '|';
+    str t.Task.name;
+    field t.Task.compute;
+    field t.Task.release;
+    field t.Task.deadline;
+    chr '|';
+    str t.Task.proc;
+    chr '|';
+    str (string_of_bool t.Task.preemptive);
+    List.iter (fun (r, u) -> pair '|' r u) t.Task.demands
   done;
-  Buffer.add_string buf "\nE";
-  Dag.fold_edges (App.graph app) ~init:[] ~f:(fun acc ~src ~dst w ->
-      (src, dst, w) :: acc)
-  |> List.sort compare
-  |> List.iter (fun (s, d, w) -> add "|%d>%d:%d" s d w);
+  str "\nE";
+  (* [fold_edges] yields edges in (src, dst) order. *)
+  Dag.fold_edges (App.graph app) ~init:() ~f:(fun () ~src ~dst w ->
+      chr '|';
+      int src;
+      chr '>';
+      int dst;
+      chr ':';
+      int w);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let fingerprint app ~est ~lct tasks =

@@ -196,36 +196,40 @@ let check_task add (ts : task_spec) =
           "relative deadline %d cannot hold compute %d" ts.ts_deadline
           ts.ts_compute
 
-(* Kahn's algorithm over the declared-name graph; whatever survives is
-   (part of) a cycle, from which one concrete cycle is walked out for the
+(* Edge endpoints resolved once, by name: a declared name gets the index
+   of its first declaration, an undeclared one an id from [n] up, so
+   every later pass keys edges by ints. *)
+type resolved = {
+  n : int;  (* declared tasks; ids below are declared *)
+  names : string array;  (* task index -> name *)
+  src : int array;
+  dst : int array;
+  lines : int option array;
+  usable : bool array;  (* declared, no self loop, first occurrence *)
+}
+
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* Kahn's algorithm over the usable edges; whatever survives is (part
+   of) a cycle, from which one concrete cycle is walked out for the
    message. *)
-let check_cycles add tasks edges =
-  let index = Hashtbl.create 16 in
-  List.iteri
-    (fun i ts ->
-      if not (Hashtbl.mem index ts.ts_name) then Hashtbl.add index ts.ts_name i)
-    tasks;
-  let n = List.length tasks in
-  let names = Array.make (max n 1) "" in
-  List.iteri (fun i ts -> if i < n then names.(i) <- ts.ts_name) tasks;
+let check_cycles add r =
+  let n = r.n and names = r.names in
   let succs = Array.make (max n 1) [] in
   let indeg = Array.make (max n 1) 0 in
-  let seen = Hashtbl.create 16 in
-  let usable =
-    List.filter
-      (fun e ->
-        match (Hashtbl.find_opt index e.es_src, Hashtbl.find_opt index e.es_dst) with
-        | Some s, Some d when s <> d ->
-            if Hashtbl.mem seen (s, d) then false
-            else begin
-              Hashtbl.add seen (s, d) ();
-              succs.(s) <- d :: succs.(s);
-              indeg.(d) <- indeg.(d) + 1;
-              true
-            end
-        | _ -> false)
-      edges
-  in
+  Array.iteri
+    (fun e ok ->
+      if ok then begin
+        let s = r.src.(e) and d = r.dst.(e) in
+        succs.(s) <- d :: succs.(s);
+        indeg.(d) <- indeg.(d) + 1
+      end)
+    r.usable;
   let queue = Queue.create () in
   for i = 0 to n - 1 do
     if indeg.(i) = 0 then Queue.add i queue
@@ -271,23 +275,30 @@ let check_cycles add tasks edges =
     in
     let cycle_names = List.map (fun i -> names.(i)) cycle in
     let line =
-      (* earliest source line of an edge along the cycle *)
-      let pairs =
-        match cycle with
-        | [] -> []
-        | first :: _ ->
-            let rec pair = function
-              | a :: (b :: _ as rest) -> (names.(a), names.(b)) :: pair rest
-              | [ last ] -> [ (names.(last), names.(first)) ]
-              | [] -> []
-            in
-            pair cycle
-      in
-      List.filter_map
-        (fun e ->
-          if List.mem (e.es_src, e.es_dst) pairs then e.es_line else None)
-        usable
-      |> function [] -> None | lines -> Some (List.fold_left min max_int lines)
+      (* earliest source line of an edge along the cycle; its vertices
+         are distinct, so each has one successor on it *)
+      let next = Array.make (max n 1) (-1) in
+      (match cycle with
+      | [] -> ()
+      | first :: _ ->
+          let rec link = function
+            | a :: (b :: _ as rest) ->
+                next.(a) <- b;
+                link rest
+            | [ last ] -> next.(last) <- first
+            | [] -> ()
+          in
+          link cycle);
+      let best = ref None in
+      Array.iteri
+        (fun e ok ->
+          if ok && next.(r.src.(e)) = r.dst.(e) then
+            match (r.lines.(e), !best) with
+            | Some l, Some b when l >= b -> ()
+            | Some l, _ -> best := Some l
+            | None, _ -> ())
+        r.usable;
+      !best
     in
     add ~code:"E101" ~severity:Error ~subject:"application" ~line
       (Printf.sprintf "precedence cycle: %s -> %s"
@@ -392,15 +403,17 @@ let check_spec ~system ~tasks ~edges =
           add ~code ~severity ~subject ~line m)
         ts)
     tasks;
-  (* duplicate task names *)
-  let first_decl = Hashtbl.create 16 in
-  List.iter
-    (fun ts ->
-      match Hashtbl.find_opt first_decl ts.ts_name with
-      | None -> Hashtbl.add first_decl ts.ts_name ts.ts_line
-      | Some _ ->
-          add ~code:"E105" ~severity:Error ~subject:("task " ^ ts.ts_name)
-            ~line:ts.ts_line "duplicate task name")
+  (* duplicate task names; [index] keeps each name's first declaration *)
+  let n = List.length tasks in
+  let names = Array.make n "" in
+  let index = Hashtbl.create (2 * n + 1) in
+  List.iteri
+    (fun i ts ->
+      names.(i) <- ts.ts_name;
+      if Hashtbl.mem index ts.ts_name then
+        add ~code:"E105" ~severity:Error ~subject:("task " ^ ts.ts_name)
+          ~line:ts.ts_line "duplicate task name"
+      else Hashtbl.add index ts.ts_name i)
     tasks;
   (* mixed periodic and one-shot *)
   let periodic, oneshot =
@@ -411,29 +424,69 @@ let check_spec ~system ~tasks ~edges =
       (Printf.sprintf
          "mixed periodic and one-shot tasks (%d periodic, %d one-shot)"
          (List.length periodic) (List.length oneshot));
-  (* per-edge checks *)
-  let seen_edges = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
+  (* per-edge checks, on endpoints resolved once *)
+  let edges = Array.of_list edges in
+  let m = Array.length edges in
+  let unknown_ids = Hashtbl.create 16 in
+  let id name =
+    match Hashtbl.find_opt index name with
+    | Some i -> i
+    | None -> (
+        match Hashtbl.find_opt unknown_ids name with
+        | Some i -> i
+        | None ->
+            let i = n + Hashtbl.length unknown_ids in
+            Hashtbl.add unknown_ids name i;
+            i)
+  in
+  let r =
+    {
+      n;
+      names;
+      src = Array.map (fun e -> id e.es_src) edges;
+      dst = Array.map (fun e -> id e.es_dst) edges;
+      lines = Array.map (fun e -> e.es_line) edges;
+      usable = Array.make m false;
+    }
+  in
+  let ids = n + Hashtbl.length unknown_ids in
+  let seen_edges = Itbl.create (2 * m + 1) in
+  Array.iteri
+    (fun k e ->
       let add ~code ~severity fmt =
         Printf.ksprintf
           (fun m ->
             add ~code ~severity ~subject:(edge_subject e) ~line:e.es_line m)
           fmt
       in
+      let s = r.src.(k) and d = r.dst.(k) in
       if e.es_message < 0 then
         add ~code:"E104" ~severity:Error "negative message size %d" e.es_message;
-      List.iter
-        (fun endpoint ->
-          if not (Hashtbl.mem first_decl endpoint) then
-            add ~code:"E103" ~severity:Error "references undeclared task '%s'"
-              endpoint)
-        (List.sort_uniq String.compare [ e.es_src; e.es_dst ]);
-      if e.es_src = e.es_dst && Hashtbl.mem first_decl e.es_src then
-        add ~code:"E101" ~severity:Error "self-loop";
-      if Hashtbl.mem seen_edges (e.es_src, e.es_dst) then
+      let undeclared name =
+        add ~code:"E103" ~severity:Error "references undeclared task '%s'" name
+      in
+      (match (s < n, d < n) with
+      | true, true -> ()
+      | false, true -> undeclared e.es_src
+      | true, false -> undeclared e.es_dst
+      | false, false ->
+          if s = d then undeclared e.es_src
+          else if String.compare e.es_src e.es_dst < 0 then begin
+            undeclared e.es_src;
+            undeclared e.es_dst
+          end
+          else begin
+            undeclared e.es_dst;
+            undeclared e.es_src
+          end);
+      if s = d && s < n then add ~code:"E101" ~severity:Error "self-loop";
+      let key = (s * ids) + d in
+      if Itbl.mem seen_edges key then
         add ~code:"E105" ~severity:Error "duplicate edge"
-      else Hashtbl.add seen_edges (e.es_src, e.es_dst) ())
+      else begin
+        Itbl.add seen_edges key ();
+        r.usable.(k) <- s < n && d < n && s <> d
+      end)
     edges;
   (* empty application *)
   if tasks = [] then
@@ -451,7 +504,7 @@ let check_spec ~system ~tasks ~edges =
         Hashtbl.replace res ts.ts_proc ();
         List.iter (fun (r, _) -> Hashtbl.replace res r ()) ts.ts_demands)
       tasks;
-    List.iter (fun e -> add_message x e.es_message) edges;
+    Array.iter (fun e -> add_message x e.es_message) edges;
     Option.iter
       (fun d -> acc := d :: !acc)
       (magnitude_diag x ~cost:(cost_sum system ~n_resources:(Hashtbl.length res)))
@@ -459,7 +512,7 @@ let check_spec ~system ~tasks ~edges =
   (* cycles through the whole graph *)
   check_cycles
     (fun ~code ~severity ~subject ~line m -> add ~code ~severity ~subject ~line m)
-    tasks edges;
+    r;
   (* system-model references *)
   (match system with
   | None -> ()

@@ -8,25 +8,33 @@ type t = {
 
 exception Cycle of int list
 
-(* Kahn's algorithm; on failure, walks the leftover vertices to report one
+(* Kahn's algorithm (FIFO, sources in increasing order, successors in
+   list order); on failure, walks the leftover vertices to report one
    concrete cycle. *)
-let topological_sort n succ pred =
-  let indegree = Array.map List.length pred in
-  let queue = Queue.create () in
-  Array.iteri (fun v d -> if d = 0 then Queue.add v queue) indegree;
-  let order = Array.make n 0 in
-  let count = ref 0 in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    order.(!count) <- v;
-    incr count;
+let topological_sort n succ indegree =
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
+  Array.iteri
+    (fun v d ->
+      if d = 0 then begin
+        queue.(!tail) <- v;
+        incr tail
+      end)
+    indegree;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
     List.iter
       (fun (w, _) ->
         indegree.(w) <- indegree.(w) - 1;
-        if indegree.(w) = 0 then Queue.add w queue)
+        if indegree.(w) = 0 then begin
+          queue.(!tail) <- w;
+          incr tail
+        end)
       succ.(v)
   done;
-  if !count = n then order
+  if !tail = n then queue
   else begin
     (* Find a cycle among vertices with remaining in-degree. *)
     let in_cycle = Array.make n false in
@@ -55,29 +63,92 @@ let topological_sort n succ pred =
     raise (Cycle (walk !start 0 []))
   end
 
+type edge_error = Out_of_range | Self_loop | Duplicate
+
+exception Bad_edge of int * edge_error
+
+(* Stable counting sort of the edge indices in [order] by [key.(e)], a
+   vertex in [0, n). *)
+let sort_by n key order =
+  let start = Array.make (n + 1) 0 in
+  Array.iter (fun e -> start.(key.(e) + 1) <- start.(key.(e) + 1) + 1) order;
+  for v = 1 to n do
+    start.(v) <- start.(v) + start.(v - 1)
+  done;
+  let sorted = Array.make (Array.length order) 0 in
+  Array.iter
+    (fun e ->
+      let k = key.(e) in
+      sorted.(start.(k)) <- e;
+      start.(k) <- start.(k) + 1)
+    order;
+  sorted
+
+let of_arrays ~n ~src ~dst ~weight =
+  if n < 0 then invalid_arg "Dag.of_arrays: negative size";
+  let m = Array.length src in
+  if Array.length dst <> m || Array.length weight <> m then
+    invalid_arg "Dag.of_arrays: arrays of different lengths";
+  let out_of_range e =
+    src.(e) < 0 || src.(e) >= n || dst.(e) < 0 || dst.(e) >= n
+  in
+  (* The first edge that is bad on its own ... *)
+  let rec first_bad e =
+    if e = m || out_of_range e || src.(e) = dst.(e) then e else first_bad (e + 1)
+  in
+  let m_ok = first_bad 0 in
+  (* ... and the first repeat among the edges before it.  The edges in
+     (dst, src) and (src, dst) order; the sorts are stable, so equal
+     pairs stay in input order and a repeat is an edge equal to the one
+     before it in (src, dst) order. *)
+  let by_dst_src = sort_by n dst (sort_by n src (Array.init m_ok Fun.id)) in
+  let by_src_dst = sort_by n src by_dst_src in
+  let first_dup = ref m in
+  for k = 1 to m_ok - 1 do
+    let e = by_src_dst.(k) and p = by_src_dst.(k - 1) in
+    if src.(e) = src.(p) && dst.(e) = dst.(p) then first_dup := min !first_dup e
+  done;
+  if !first_dup < m then raise (Bad_edge (!first_dup, Duplicate));
+  if m_ok < m then
+    raise (Bad_edge (m_ok, if out_of_range m_ok then Out_of_range else Self_loop));
+  (* Each adjacency list is built back to front from its run in the
+     matching order: it comes out sorted, and its cells are allocated
+     together, in vertex order, which is how the analysis walks them. *)
+  let succ = Array.make n [] and pred = Array.make n [] in
+  let indegree = Array.make n 0 in
+  for k = m - 1 downto 0 do
+    let e = by_src_dst.(k) in
+    succ.(src.(e)) <- (dst.(e), weight.(e)) :: succ.(src.(e))
+  done;
+  for k = m - 1 downto 0 do
+    let e = by_dst_src.(k) in
+    let d = dst.(e) in
+    pred.(d) <- (src.(e), weight.(e)) :: pred.(d);
+    indegree.(d) <- indegree.(d) + 1
+  done;
+  let topo = topological_sort n succ indegree in
+  { n; succ; pred; n_edges = m; topo }
+
 let create ~n ~edges =
   if n < 0 then invalid_arg "Dag.create: negative size";
-  let succ = Array.make n [] and pred = Array.make n [] in
-  let seen = Hashtbl.create (List.length edges) in
-  List.iter
-    (fun (src, dst, w) ->
-      if src < 0 || src >= n || dst < 0 || dst >= n then
-        invalid_arg
-          (Printf.sprintf "Dag.create: edge (%d,%d) out of range" src dst);
-      if src = dst then
-        invalid_arg (Printf.sprintf "Dag.create: self loop on %d" src);
-      if Hashtbl.mem seen (src, dst) then
-        invalid_arg
-          (Printf.sprintf "Dag.create: duplicate edge (%d,%d)" src dst);
-      Hashtbl.add seen (src, dst) ();
-      succ.(src) <- (dst, w) :: succ.(src);
-      pred.(dst) <- (src, w) :: pred.(dst))
+  let m = List.length edges in
+  let src = Array.make m 0 and dst = Array.make m 0 in
+  let weight = Array.make m 0 in
+  List.iteri
+    (fun e (s, d, w) ->
+      src.(e) <- s;
+      dst.(e) <- d;
+      weight.(e) <- w)
     edges;
-  let by_fst (a, _) (b, _) = compare a b in
-  Array.iteri (fun i l -> succ.(i) <- List.sort by_fst l) succ;
-  Array.iteri (fun i l -> pred.(i) <- List.sort by_fst l) pred;
-  let topo = topological_sort n succ pred in
-  { n; succ; pred; n_edges = List.length edges; topo }
+  try of_arrays ~n ~src ~dst ~weight
+  with Bad_edge (e, kind) ->
+    let s = src.(e) and d = dst.(e) in
+    invalid_arg
+      (match kind with
+      | Out_of_range ->
+          Printf.sprintf "Dag.create: edge (%d,%d) out of range" s d
+      | Self_loop -> Printf.sprintf "Dag.create: self loop on %d" s
+      | Duplicate -> Printf.sprintf "Dag.create: duplicate edge (%d,%d)" s d)
 
 let n_vertices t = t.n
 let n_edges t = t.n_edges

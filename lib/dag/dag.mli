@@ -21,6 +21,24 @@ val create : n:int -> edges:(int * int * int) list -> t
       duplicated edge.
     @raise Cycle if the edges are cyclic. *)
 
+type edge_error = Out_of_range | Self_loop | Duplicate
+
+exception Bad_edge of int * edge_error
+(** Raised by {!of_arrays}: the index of the first offending edge in
+    input order, and what is wrong with it.  An edge that repeats an
+    earlier one offends at its second occurrence. *)
+
+val of_arrays : n:int -> src:int array -> dst:int array -> weight:int array -> t
+(** [of_arrays ~n ~src ~dst ~weight] builds the DAG whose edge [e] is
+    [(src.(e), dst.(e), weight.(e))], in time linear in [n] plus the edge
+    count (counting sort, no comparison sort or polymorphic hashing).
+    {!create} is this on a list.
+    @raise Bad_edge on an out-of-range endpoint, a self loop or a
+      duplicated edge.
+    @raise Cycle if the edges are cyclic.
+    @raise Invalid_argument on a negative [n] or arrays of different
+      lengths. *)
+
 val n_vertices : t -> int
 val n_edges : t -> int
 

@@ -4,364 +4,545 @@ exception Parse_error of int * string
 
 let fail line fmt = Printf.ksprintf (fun m -> raise (Parse_error (line, m))) fmt
 
-type pending_task = {
-  pt_name : string;
-  pt_compute : int;
-  pt_release : int;
-  pt_deadline : int;
-  pt_proc : string;
-  pt_demands : (string * int) list;  (* grouped units; counts may be bad *)
-  pt_preemptive : bool;
-  pt_period : int option;  (* period= turns the file periodic *)
-  pt_line : int;
+(* ---------------- scanning ---------------- *)
+
+(* The scanner walks the text once, by index.  A line's words are found
+   as [start, stop) ranges into the text; only what a declaration keeps
+   (task, processor and resource names) is copied out.  Edge endpoints
+   stay ranges until they are resolved against the task names. *)
+
+(* Space, tab and carriage return separate words, so CRLF line ends and
+   tab-aligned files read like their LF/space twins. *)
+let is_sep = function ' ' | '\t' | '\r' -> true | _ -> false
+
+(* The scanning loops below are top-level recursive functions, so they
+   allocate no closure; every [unsafe_get] index is below a bound the
+   loop has just checked. *)
+
+(* The decimal digits [s.[i .. stop-1]] appended to [v], or [-1] at a
+   non-digit. *)
+let rec digits s i stop v =
+  if i = stop then v
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9' as c -> digits s (i + 1) stop ((v * 10) + Char.code c - 48)
+    | _ -> -1
+
+(* [int_of_string] on [s.[pos .. stop-1]]: plain decimals of up to 18
+   digits (which cannot overflow) are read in place; everything else
+   (prefixes, underscores, long numbers) goes to [int_of_string] itself,
+   so the syntax and the overflow rejection are exactly its own.
+   @raise Failure when the range is not an integer. *)
+let int_in s pos stop =
+  let p =
+    if pos < stop && (s.[pos] = '-' || s.[pos] = '+') then pos + 1 else pos
+  in
+  let v = if stop - p >= 1 && stop - p <= 18 then digits s p stop 0 else -1 in
+  if v < 0 then int_of_string (String.sub s pos (stop - pos))
+  else if s.[pos] = '-' then -v
+  else v
+
+let sub s pos stop = String.sub s pos (stop - pos)
+
+(* First [c] in [s.[pos .. stop-1]], or [stop]. *)
+let rec index_in s i stop c =
+  if i = stop || String.unsafe_get s i = c then i else index_in s (i + 1) stop c
+
+(* [s.[pos + i ..]] and [lit.[i ..]] agree up to [n]. *)
+let rec agree s pos lit i n =
+  i = n
+  || String.unsafe_get s (pos + i) = String.unsafe_get lit i
+     && agree s pos lit (i + 1) n
+
+let sub_is s pos stop lit =
+  let n = String.length lit in
+  stop - pos = n && agree s pos lit 0 n
+
+(* Growable int arrays for the per-edge columns. *)
+type column = { mutable data : int array; mutable len : int }
+
+let column () = { data = Array.make 256 0; len = 0 }
+
+let push c x =
+  if c.len = Array.length c.data then begin
+    let data = Array.make (2 * c.len) 0 in
+    Array.blit c.data 0 data 0 c.len;
+    c.data <- data
+  end;
+  c.data.(c.len) <- x;
+  c.len <- c.len + 1
+
+(* The declarations of one file.  Edge [e < n_edges] is a row of
+   columns: the text positions where its two endpoint words start (which
+   also give its source line) and its message size. *)
+type decls = {
+  text : string;
+  tasks : Rtlb.Validate.task_spec array;
+  n_edges : int;
+  e_src : int array;
+  e_dst : int array;
+  e_msg : int array;
+  shared : Rtlb.System.t option;
+  nodes : (int * Rtlb.System.node_type) list;
 }
 
-let split_words s =
-  String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
+(* The line of text position [pos], counting on from position [from] on
+   line [line] ([from <= pos]). *)
+let rec line_of text ~from ~line pos =
+  match String.index_from_opt text from '\n' with
+  | Some j when j < pos -> line_of text ~from:(j + 1) ~line:(line + 1) pos
+  | _ -> line
 
-let strip_comment s =
-  match String.index_opt s '#' with
-  | Some i -> String.sub s 0 i
-  | None -> s
+let line_at text pos = line_of text ~from:0 ~line:1 pos
 
-let key_value line word =
-  match String.index_opt word '=' with
-  | Some i ->
-      Some
-        ( String.sub word 0 i,
-          String.sub word (i + 1) (String.length word - i - 1) )
-  | None ->
-      if word = "preemptive" then None
-      else fail line "expected key=value, got %S" word
+(* End of the word starting at [pos]: words never contain a separator,
+   a newline or a comment. *)
+let rec word_stop text i n =
+  if i = n then i
+  else
+    match String.unsafe_get text i with
+    | ' ' | '\t' | '\r' | '\n' | '#' -> i
+    | _ -> word_stop text (i + 1) n
 
-let int_of line what s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> fail line "%s: not an integer: %S" what s
+let word_end text pos = word_stop text pos (String.length text)
+
+(* One line's words, as [start, stop) ranges. *)
+type words = { mutable ws : int array; mutable we : int array; mutable nw : int }
 
 (* "2xr1" -> ("r1", 2); "r1" -> ("r1", 1).  Counts are not range-checked
    here: the spec path wants to see a bad count as a diagnostic, the
    strict path rejects it in [expand_demands]. *)
-let parse_counted r =
-  match String.index_opt r 'x' with
-  | Some i when i > 0 && int_of_string_opt (String.sub r 0 i) <> None ->
-      (String.sub r (i + 1) (String.length r - i - 1),
-       int_of_string (String.sub r 0 i))
-  | _ -> (r, 1)
+let parse_counted text pos stop =
+  let i = index_in text pos stop 'x' in
+  match if i > pos && i < stop then Some (int_in text pos i) else None with
+  | Some k -> (sub text (i + 1) stop, k)
+  | None | (exception Failure _) -> (sub text pos stop, 1)
+
+(* The comma-separated items of [pos, stop), empty ones skipped, each
+   read by [parse_counted], in order. *)
+let counted_items text pos stop =
+  let rec go i acc =
+    if i >= stop then List.rev acc
+    else
+      let j = index_in text i stop ',' in
+      go (j + 1) (if j > i then parse_counted text i j :: acc else acc)
+  in
+  go pos []
 
 (* Group repeated names, first-occurrence order: "r1,r1,2xr2" ->
    [(r1, 2); (r2, 2)]. *)
 let group_demands pairs =
   List.fold_left
     (fun acc (r, k) ->
-      match List.assoc_opt r acc with
-      | Some k0 -> List.map (fun (r', k') -> if r' = r then (r', k0 + k) else (r', k')) acc
-      | None -> acc @ [ (r, k) ])
+      if List.mem_assoc r acc then
+        List.map (fun (r', k') -> if r' = r then (r', k' + k) else (r', k')) acc
+      else (r, k) :: acc)
     [] pairs
+  |> List.rev
 
-let parse_task line words =
-  match words with
-  | name :: rest ->
-      let preemptive = List.mem "preemptive" rest in
-      let kvs = List.filter_map (key_value line) rest in
-      let get k = List.assoc_opt k kvs in
-      let compute =
-        match get "compute" with
-        | Some v -> int_of line "compute" v
-        | None -> fail line "task %s: missing compute=" name
-      in
-      let period_opt = Option.map (int_of line "period") (get "period") in
-      let deadline =
-        match (get "deadline", period_opt) with
-        | Some v, _ -> int_of line "deadline" v
-        | None, Some p -> p
-        | None, None -> fail line "task %s: missing deadline=" name
-      in
-      let proc =
-        match get "proc" with
-        | Some v -> v
-        | None -> fail line "task %s: missing proc=" name
-      in
-      let release =
-        match get "release" with Some v -> int_of line "release" v | None -> 0
-      in
-      let demands =
-        match get "res" with
-        | Some v ->
-            String.split_on_char ',' v
-            |> List.filter (( <> ) "")
-            |> List.map parse_counted |> group_demands
-        | None -> []
-      in
-      {
-        pt_name = name;
-        pt_compute = compute;
-        pt_release = release;
-        pt_deadline = deadline;
-        pt_proc = proc;
-        pt_demands = demands;
-        pt_preemptive = preemptive;
-        pt_period = period_opt;
-        pt_line = line;
-      }
-  | [] -> fail line "task: missing name"
+(* The [key=value] arguments of one line (words [from..]), checked in
+   word order: a word without [=] other than [preemptive] is an error,
+   and so is a second occurrence of a key the directive reads.  [keys]
+   lists those keys; the value range of [keys.(j)] lands in
+   [vals.(2j)], [vals.(2j+1)] ([-1] when absent).  Other keys are
+   ignored.  Returns whether the [preemptive] flag is present. *)
+let read_args text line ~what ~name w ~from keys vals =
+  Array.fill vals 0 (Array.length vals) (-1);
+  let preemptive = ref false in
+  for k = from to w.nw - 1 do
+    let pos = w.ws.(k) and stop = w.we.(k) in
+    let eq = index_in text pos stop '=' in
+    if eq < stop then
+      for j = 0 to Array.length keys - 1 do
+        if sub_is text pos eq keys.(j) then begin
+          if vals.(2 * j) >= 0 then
+            fail line "%s %s: duplicate key %s=" what name keys.(j);
+          vals.(2 * j) <- eq + 1;
+          vals.((2 * j) + 1) <- stop
+        end
+      done
+    else if sub_is text pos stop "preemptive" then preemptive := true
+    else fail line "expected key=value, got %S" (sub text pos stop)
+  done;
+  !preemptive
 
-let parse_shared line words =
-  let costs =
-    List.map
-      (fun w ->
-        match key_value line w with
-        | Some (r, c) -> (r, int_of line "cost" c)
-        | None -> fail line "shared: expected RESOURCE=COST")
-      words
+let given vals j = vals.(2 * j) >= 0
+let value text vals j = sub text vals.(2 * j) vals.((2 * j) + 1)
+
+let int_arg text line what vals j =
+  try int_in text vals.(2 * j) vals.((2 * j) + 1)
+  with Failure _ -> fail line "%s: not an integer: %S" what (value text vals j)
+
+let task_keys = [| "compute"; "period"; "deadline"; "proc"; "release"; "res" |]
+
+let parse_task text line w vals =
+  if w.nw < 2 then fail line "task: missing name";
+  let name = sub text w.ws.(1) w.we.(1) in
+  let preemptive =
+    read_args text line ~what:"task" ~name w ~from:2 task_keys vals
   in
-  try Rtlb.System.shared ~costs
+  let has = given vals in
+  if not (has 0) then fail line "task %s: missing compute=" name;
+  let compute = int_arg text line "compute" vals 0 in
+  let period = if has 1 then Some (int_arg text line "period" vals 1) else None in
+  let deadline =
+    match period with
+    | _ when has 2 -> int_arg text line "deadline" vals 2
+    | Some p -> p
+    | None -> fail line "task %s: missing deadline=" name
+  in
+  if not (has 3) then fail line "task %s: missing proc=" name;
+  let proc = value text vals 3 in
+  let release = if has 4 then int_arg text line "release" vals 4 else 0 in
+  let demands =
+    if has 5 then group_demands (counted_items text vals.(10) vals.(11))
+    else []
+  in
+  {
+    Rtlb.Validate.ts_name = name;
+    ts_compute = compute;
+    ts_release = release;
+    ts_deadline = deadline;
+    ts_proc = proc;
+    ts_demands = demands;
+    ts_preemptive = preemptive;
+    ts_period = period;
+    ts_line = Some line;
+  }
+
+let parse_shared text line w =
+  let costs = ref [] in
+  for k = 1 to w.nw - 1 do
+    let pos = w.ws.(k) and stop = w.we.(k) in
+    let eq = index_in text pos stop '=' in
+    if eq < stop then
+      let c =
+        try int_in text (eq + 1) stop
+        with Failure _ ->
+          fail line "cost: not an integer: %S" (sub text (eq + 1) stop)
+      in
+      costs := (sub text pos eq, c) :: !costs
+    else if sub_is text pos stop "preemptive" then
+      fail line "shared: expected RESOURCE=COST"
+    else fail line "expected key=value, got %S" (sub text pos stop)
+  done;
+  try Rtlb.System.shared ~costs:(List.rev !costs)
   with Invalid_argument m -> fail line "shared: %s" m
 
-let parse_node line words =
-  match words with
-  | name :: rest ->
-      let kvs = List.filter_map (key_value line) rest in
-      let proc =
-        match List.assoc_opt "proc" kvs with
-        | Some p -> p
-        | None -> fail line "node %s: missing proc=" name
-      in
-      let cost =
-        match List.assoc_opt "cost" kvs with
-        | Some c -> int_of line "cost" c
-        | None -> 1
-      in
-      let provides =
-        match List.assoc_opt "res" kvs with
-        | Some v ->
-            String.split_on_char ',' v
-            |> List.filter (( <> ) "")
-            |> List.map parse_counted
-        | None -> []
-      in
-      (try Rtlb.System.node_type ~name ~proc ~provides ~cost ()
-       with Invalid_argument m -> fail line "node %s: %s" name m)
-  | [] -> fail line "node: missing name"
+let node_keys = [| "proc"; "cost"; "res" |]
+
+let parse_node text line w vals =
+  if w.nw < 2 then fail line "node: missing name";
+  let name = sub text w.ws.(1) w.we.(1) in
+  ignore (read_args text line ~what:"node" ~name w ~from:2 node_keys vals);
+  if not (given vals 0) then fail line "node %s: missing proc=" name;
+  let proc = value text vals 0 in
+  let cost = if given vals 1 then int_arg text line "cost" vals 1 else 1 in
+  let provides =
+    if given vals 2 then counted_items text vals.(4) vals.(5) else []
+  in
+  try Rtlb.System.node_type ~name ~proc ~provides ~cost ()
+  with Invalid_argument m -> fail line "node %s: %s" name m
+
+let add_word w start stop =
+  if w.nw = Array.length w.ws then begin
+    w.ws <- Array.append w.ws w.ws;
+    w.we <- Array.append w.we w.we
+  end;
+  w.ws.(w.nw) <- start;
+  w.we.(w.nw) <- stop;
+  w.nw <- w.nw + 1
+
+(* Split [text.[i..]] up to the end of its line into [w]; returns the
+   position after the line's newline. *)
+let rec split_line text i n w =
+  if i = n then n
+  else
+    match String.unsafe_get text i with
+    | '\n' -> i + 1
+    | '#' -> (
+        match String.index_from_opt text i '\n' with
+        | Some j -> j + 1
+        | None -> n)
+    | c when is_sep c -> split_line text (i + 1) n w
+    | _ ->
+        let j = word_stop text i n in
+        add_word w i j;
+        split_line text j n w
 
 (* Tokenize the whole file into declarations.  Only syntax-level problems
    raise here; semantic ones (duplicates, cycles, bad quantities, dangling
-   edges) survive into the returned lists so both the strict constructor
+   edges) survive into the declarations so both the strict constructor
    path and the diagnostic path can decide how to report them. *)
 let scan text =
-  let tasks = ref [] and edges = ref [] in
-  let shared = ref None and nodes = ref [] in
-  let lines = String.split_on_char '\n' text in
-  List.iteri
-    (fun idx raw ->
-      let line = idx + 1 in
-      let words = split_words (strip_comment raw) in
-      match words with
-      | [] -> ()
-      | "task" :: rest -> tasks := parse_task line rest :: !tasks
-      | [ "edge"; src; dst; m ] ->
-          edges := (line, src, dst, int_of line "message" m) :: !edges
-      | "edge" :: _ -> fail line "edge: expected 'edge SRC DST SIZE'"
-      | "shared" :: rest ->
-          if !shared <> None then fail line "duplicate shared line";
-          shared := Some (parse_shared line rest)
-      | "node" :: rest -> nodes := (line, parse_node line rest) :: !nodes
-      | w :: _ -> fail line "unknown directive %S" w)
-    lines;
-  (List.rev !tasks, List.rev !edges, !shared, List.rev !nodes)
+  let tasks = ref [] and shared = ref None and nodes = ref [] in
+  let e_src = column () and e_dst = column () and e_msg = column () in
+  let w = { ws = Array.make 16 0; we = Array.make 16 0; nw = 0 } in
+  let vals = Array.make (2 * Array.length task_keys) (-1) in
+  let pos = ref 0 and line = ref 0 in
+  while !pos < String.length text do
+    incr line;
+    let line = !line in
+    w.nw <- 0;
+    pos := split_line text !pos (String.length text) w;
+    if w.nw > 0 then begin
+      let pos0 = w.ws.(0) and stop0 = w.we.(0) in
+      if sub_is text pos0 stop0 "task" then
+        tasks := parse_task text line w vals :: !tasks
+      else if sub_is text pos0 stop0 "edge" then begin
+        if w.nw <> 4 then fail line "edge: expected 'edge SRC DST SIZE'";
+        let m =
+          try int_in text w.ws.(3) w.we.(3)
+          with Failure _ ->
+            fail line "message: not an integer: %S" (sub text w.ws.(3) w.we.(3))
+        in
+        push e_src w.ws.(1);
+        push e_dst w.ws.(2);
+        push e_msg m
+      end
+      else if sub_is text pos0 stop0 "shared" then begin
+        if !shared <> None then fail line "duplicate shared line";
+        shared := Some (parse_shared text line w)
+      end
+      else if sub_is text pos0 stop0 "node" then
+        nodes := (line, parse_node text line w vals) :: !nodes
+      else fail line "unknown directive %S" (sub text pos0 stop0)
+    end
+  done;
+  {
+    text;
+    tasks = Array.of_list (List.rev !tasks);
+    n_edges = e_src.len;
+    e_src = e_src.data;
+    e_dst = e_dst.data;
+    e_msg = e_msg.data;
+    shared = !shared;
+    nodes = List.rev !nodes;
+  }
 
-let system_of line_of_conflict shared nodes =
-  match (shared, nodes) with
-  | Some _, (_ : (int * Rtlb.System.node_type) list) when nodes <> [] ->
-      fail (line_of_conflict nodes) "both shared and node lines present"
-  | Some s, _ -> Some s
+(* ---------------- name resolution ---------------- *)
+
+(* Open-addressing map from a task name to the index of its first
+   declaration.  Lookups take a range of the text, so an edge endpoint
+   resolves without being copied. *)
+type names = { keys : string array; ids : int array; mask : int }
+
+let hash_range s pos stop =
+  let h = ref 0xcbf29ce484222 in
+  for i = pos to stop - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
+  done;
+  let h = !h in
+  (h lxor (h lsr 31)) land max_int
+
+let names_create n =
+  let size = ref 16 in
+  while !size < 2 * n do
+    size := 2 * !size
+  done;
+  { keys = Array.make !size ""; ids = Array.make !size (-1); mask = !size - 1 }
+
+(* The slot holding [s.[pos..stop-1]], or the empty slot where it goes. *)
+let rec probe t s pos len i =
+  if t.ids.(i) < 0 then i
+  else
+    let k = t.keys.(i) in
+    if String.length k = len && agree s pos k 0 len then i
+    else probe t s pos len ((i + 1) land t.mask)
+
+let slot t s pos stop =
+  probe t s pos (stop - pos) (hash_range s pos stop land t.mask)
+
+let find t s pos stop = t.ids.(slot t s pos stop)
+
+(* Adds [name -> id] unless [name] is already present; returns whether
+   it was added. *)
+let add t name id =
+  let i = slot t name 0 (String.length name) in
+  t.ids.(i) < 0
+  && begin
+       t.keys.(i) <- name;
+       t.ids.(i) <- id;
+       true
+     end
+
+(* The names of the declared tasks, and the first task that redeclares
+   one. *)
+let index_names tasks =
+  let names = names_create (Array.length tasks) in
+  let redeclared = ref None in
+  Array.iteri
+    (fun i (ts : Rtlb.Validate.task_spec) ->
+      if (not (add names ts.ts_name i)) && !redeclared = None then
+        redeclared := Some ts)
+    tasks;
+  (names, !redeclared)
+
+(* ---------------- construction ---------------- *)
+
+let system_of d =
+  match (d.shared, d.nodes) with
+  | Some _, (line, _) :: _ -> fail line "both shared and node lines present"
+  | Some s, [] -> Some s
   | None, [] -> None
   | None, nodes -> (
       try Some (Rtlb.System.dedicated (List.map snd nodes))
       with Invalid_argument m -> fail 0 "%s" m)
 
 (* Repeat each resource name [units] times, the form Task.make expects. *)
-let expand_demands pt =
+let expand_demands (ts : Rtlb.Validate.task_spec) line =
   List.concat_map
     (fun (r, k) ->
-      if k < 1 then fail pt.pt_line "task %s: zero resource units" pt.pt_name;
+      if k < 1 then fail line "task %s: zero resource units" ts.ts_name;
       List.init k (fun _ -> r))
-    pt.pt_demands
+    ts.ts_demands
 
-let construct text =
-  let tasks, edge_decls, shared, nodes = scan text in
-  let index = Hashtbl.create 16 in
-  List.iteri
-    (fun i pt ->
-      if Hashtbl.mem index pt.pt_name then
-        fail pt.pt_line "duplicate task name %s" pt.pt_name;
-      Hashtbl.add index pt.pt_name i)
-    tasks;
-  (* Reject dangling endpoints, self-loops and duplicate edges here, where
-     the source line is still known — Dag.create would only raise an
-     unlocated Invalid_argument. *)
-  let seen_edges = Hashtbl.create 16 in
-  let edges =
-    List.map
-      (fun (line, src, dst, m) ->
-        let find n =
-          match Hashtbl.find_opt index n with
-          | Some i -> i
-          | None -> fail line "edge: unknown task %s" n
-        in
-        let s = find src and d = find dst in
-        if s = d then fail line "edge: self loop on task %s" src;
-        if Hashtbl.mem seen_edges (s, d) then
-          fail line "duplicate edge %s -> %s" src dst;
-        Hashtbl.add seen_edges (s, d) ();
-        (line, s, d, m))
-      edge_decls
+let line_of_task (ts : Rtlb.Validate.task_spec) =
+  Option.value ts.ts_line ~default:0
+
+(* The application of the declarations, failing at the first problem in
+   the order the checks have always run: duplicate task names, then the
+   first bad edge in file order (unknown endpoint, self loop, repeat),
+   then per-task errors, negative messages and cycles. *)
+let build_app d =
+  let tasks = d.tasks and text = d.text in
+  let n = Array.length tasks in
+  let names, redeclared = index_names tasks in
+  Option.iter
+    (fun (ts : Rtlb.Validate.task_spec) ->
+      fail (line_of_task ts) "duplicate task name %s" ts.ts_name)
+    redeclared;
+  let resolve pos = find names text pos (word_end text pos) in
+  let m = d.n_edges in
+  let src = Array.init m (fun e -> resolve d.e_src.(e)) in
+  let dst = Array.init m (fun e -> resolve d.e_dst.(e)) in
+  let weight = Array.sub d.e_msg 0 m in
+  let ename pos = sub text pos (word_end text pos) in
+  let graph =
+    match Dag.of_arrays ~n ~src ~dst ~weight with
+    | g -> Ok g
+    | exception Dag.Cycle ids -> Error ids
+    | exception Dag.Bad_edge (e, kind) -> (
+        let line = line_at text d.e_src.(e) in
+        match kind with
+        | Dag.Out_of_range ->
+            fail line "edge: unknown task %s"
+              (ename (if src.(e) < 0 then d.e_src.(e) else d.e_dst.(e)))
+        | Dag.Self_loop ->
+            fail line "edge: self loop on task %s" (ename d.e_src.(e))
+        | Dag.Duplicate ->
+            fail line "duplicate edge %s -> %s" (ename d.e_src.(e))
+              (ename d.e_dst.(e)))
   in
   let cycle_error ids =
-    (* Map the Dag.Cycle payload back to names and the earliest source
-       line of an edge on the cycle. *)
-    let name i = (List.nth tasks i).pt_name in
-    let names = List.map name ids in
-    let pairs =
-      match ids with
-      | [] -> []
-      | first :: _ ->
-          let rec consecutive = function
-            | a :: (b :: _ as rest) -> (a, b) :: consecutive rest
-            | [ last ] -> [ (last, first) ]
-            | [] -> []
-          in
-          consecutive ids
+    (* Name the cycle and locate it at the earliest source line of one
+       of its edges.  [ids] may repeat its first vertex at the end. *)
+    let next = Array.make n (-1) in
+    (match ids with
+    | [] -> ()
+    | first :: _ ->
+        let rec link = function
+          | a :: (b :: _ as rest) ->
+              next.(a) <- b;
+              link rest
+          | [ last ] -> if next.(last) < 0 then next.(last) <- first
+          | [] -> ()
+        in
+        link ids);
+    (* edges are in text order, so the first one on the cycle is the
+       earliest *)
+    let rec first_on e =
+      if e = m then 0
+      else if next.(src.(e)) = dst.(e) then line_at text d.e_src.(e)
+      else first_on (e + 1)
     in
-    let line =
-      List.fold_left
-        (fun acc (l, s, d, _) ->
-          if List.mem (s, d) pairs then min acc l else acc)
-        max_int edges
+    let names = List.map (fun i -> tasks.(i).Rtlb.Validate.ts_name) ids in
+    fail (first_on 0) "precedence cycle: %s"
+      (String.concat " -> " (names @ [ List.hd names ]))
+  in
+  if Array.exists (fun (ts : Rtlb.Validate.task_spec) -> ts.ts_period <> None) tasks
+  then begin
+    (match
+       Array.find_opt
+         (fun (ts : Rtlb.Validate.task_spec) -> ts.ts_period = None)
+         tasks
+     with
+    | Some ts ->
+        fail (line_of_task ts)
+          "task %s: mixing periodic and one-shot tasks is not supported"
+          ts.ts_name
+    | None -> ());
+    let ptasks =
+      Array.to_list tasks
+      |> List.map (fun (ts : Rtlb.Validate.task_spec) ->
+             let line = line_of_task ts in
+             try
+               Rtlb.Periodic.ptask ~name:ts.ts_name
+                 ~period:(Option.get ts.ts_period) ~offset:ts.ts_release
+                 ~compute:ts.ts_compute ~deadline:ts.ts_deadline
+                 ~proc:ts.ts_proc ~resources:(expand_demands ts line)
+                 ~preemptive:ts.ts_preemptive ()
+             with Invalid_argument m -> fail line "task %s: %s" ts.ts_name m)
     in
-    let line = if line = max_int then 0 else line in
-    fail line "precedence cycle: %s"
-      (String.concat " -> " (names @ [ List.nth names 0 ]))
-  in
-  let periodic = List.exists (fun pt -> pt.pt_period <> None) tasks in
-  let app =
-    if periodic then begin
-      (match List.find_opt (fun pt -> pt.pt_period = None) tasks with
-      | Some pt ->
-          fail pt.pt_line
-            "task %s: mixing periodic and one-shot tasks is not supported"
-            pt.pt_name
-      | None -> ());
-      let ptasks =
-        List.map
-          (fun pt ->
-            try
-              Rtlb.Periodic.ptask ~name:pt.pt_name
-                ~period:(Option.get pt.pt_period) ~offset:pt.pt_release
-                ~compute:pt.pt_compute ~deadline:pt.pt_deadline
-                ~proc:pt.pt_proc ~resources:(expand_demands pt)
-                ~preemptive:pt.pt_preemptive ()
-            with Invalid_argument m -> fail pt.pt_line "task %s: %s" pt.pt_name m)
-          tasks
-      in
-      let name i = (List.nth tasks i).pt_name in
-      let pedges = List.map (fun (_, s, d, m) -> (name s, name d, m)) edges in
-      match Rtlb.Periodic.unroll ~tasks:ptasks ~edges:pedges () with
-      | app -> app
-      | exception Invalid_argument m -> fail 0 "%s" m
-      | exception Dag.Cycle _ -> fail 0 "precedence cycle in task graph"
-    end
-    else begin
-      let task_list =
-        List.mapi
-          (fun i pt ->
-            try
-              Rtlb.Task.make ~id:i ~name:pt.pt_name ~compute:pt.pt_compute
-                ~release:pt.pt_release ~deadline:pt.pt_deadline ~proc:pt.pt_proc
-                ~resources:(expand_demands pt) ~preemptive:pt.pt_preemptive ()
-            with Invalid_argument m -> fail pt.pt_line "task %s: %s" pt.pt_name m)
-          tasks
-      in
-      let edge_list = List.map (fun (_, s, d, m) -> (s, d, m)) edges in
-      match Rtlb.App.make ~tasks:task_list ~edges:edge_list with
-      | app -> app
-      | exception Invalid_argument m -> fail 0 "%s" m
-      | exception Dag.Cycle ids -> cycle_error ids
-    end
-  in
-  let line_of_conflict nodes =
-    match nodes with (l, _) :: _ -> l | [] -> 0
-  in
-  let system = system_of line_of_conflict shared nodes in
-  { app; system }
+    let name i = tasks.(i).Rtlb.Validate.ts_name in
+    let pedges =
+      List.init m (fun e -> (name src.(e), name dst.(e), weight.(e)))
+    in
+    match Rtlb.Periodic.unroll ~tasks:ptasks ~edges:pedges () with
+    | app -> app
+    | exception Invalid_argument m -> fail 0 "%s" m
+    | exception Dag.Cycle _ -> fail 0 "precedence cycle in task graph"
+  end
+  else begin
+    let tasks =
+      Array.mapi
+        (fun i (ts : Rtlb.Validate.task_spec) ->
+          let line = line_of_task ts in
+          try
+            Rtlb.Task.make ~id:i ~name:ts.ts_name ~compute:ts.ts_compute
+              ~release:ts.ts_release ~deadline:ts.ts_deadline ~proc:ts.ts_proc
+              ~resources:(expand_demands ts line) ~preemptive:ts.ts_preemptive ()
+          with Invalid_argument m -> fail line "task %s: %s" ts.ts_name m)
+        tasks
+    in
+    match graph with
+    | Ok g -> (
+        try Rtlb.App.of_graph ~tasks g with Invalid_argument m -> fail 0 "%s" m)
+    | Error ids ->
+        (* A negative message outranks a cycle, as in [App.make]. *)
+        if Array.exists (fun m -> m < 0) weight then
+          fail 0 "App.make: negative message size";
+        cycle_error ids
+  end
 
 (* The strict path enforces the magnitude contract on the constructed
    instance (periodic files after unrolling), so no engine ever sees an
    input whose arithmetic could wrap. *)
 let parse text =
-  let t = construct text in
+  let d = scan text in
+  let app = build_app d in
+  let t = { app; system = system_of d } in
   match Rtlb.Validate.check_magnitude ~system:t.system t.app with
   | None -> t
   | Some d -> fail 0 "%s %s" d.Rtlb.Validate.d_code d.Rtlb.Validate.d_message
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse text
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let parse_file path = parse (read_file path)
 
 (* ---------------- diagnostic (spec) path ---------------- *)
 
-type spec = {
-  spec_tasks : Rtlb.Validate.task_spec list;
-  spec_edges : Rtlb.Validate.edge_spec list;
-  spec_system : Rtlb.System.t option;
-  spec_source : string;
-}
+type spec = { decls : decls; spec_system : Rtlb.System.t option }
 
 let parse_spec text =
-  let tasks, edges, shared, nodes = scan text in
-  let line_of_conflict nodes =
-    match nodes with (l, _) :: _ -> l | [] -> 0
-  in
-  let system = system_of line_of_conflict shared nodes in
-  {
-    spec_tasks =
-      List.map
-        (fun pt ->
-          {
-            Rtlb.Validate.ts_name = pt.pt_name;
-            ts_compute = pt.pt_compute;
-            ts_release = pt.pt_release;
-            ts_deadline = pt.pt_deadline;
-            ts_proc = pt.pt_proc;
-            ts_demands = pt.pt_demands;
-            ts_preemptive = pt.pt_preemptive;
-            ts_period = pt.pt_period;
-            ts_line = Some pt.pt_line;
-          })
-        tasks;
-    spec_edges =
-      List.map
-        (fun (line, src, dst, m) ->
-          {
-            Rtlb.Validate.es_src = src;
-            es_dst = dst;
-            es_message = m;
-            es_line = Some line;
-          })
-        edges;
-    spec_system = system;
-    spec_source = text;
-  }
+  let decls = scan text in
+  { decls; spec_system = system_of decls }
 
-let parse_spec_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_spec text
+let parse_spec_file path = parse_spec (read_file path)
 
 let e100 line m =
   {
@@ -372,42 +553,55 @@ let e100 line m =
     d_line = (if line > 0 then Some line else None);
   }
 
-let check spec =
+let edge_specs d =
+  let name pos = sub d.text pos (word_end d.text pos) in
+  let specs = ref [] and from = ref 0 and line = ref 1 in
+  for e = 0 to d.n_edges - 1 do
+    let pos = d.e_src.(e) in
+    line := line_of d.text ~from:!from ~line:!line pos;
+    from := pos;
+    specs :=
+      {
+        Rtlb.Validate.es_src = name pos;
+        es_dst = name d.e_dst.(e);
+        es_message = d.e_msg.(e);
+        es_line = Some !line;
+      }
+      :: !specs
+  done;
+  List.rev !specs
+
+let check { decls = d; spec_system } =
   let diags =
-    Rtlb.Validate.check_spec ~system:spec.spec_system ~tasks:spec.spec_tasks
-      ~edges:spec.spec_edges
+    Rtlb.Validate.check_spec ~system:spec_system ~tasks:(Array.to_list d.tasks)
+      ~edges:(edge_specs d)
   in
   if Rtlb.Validate.has_errors diags then diags
   else
-    (* The spec phase found nothing fatal, so the strict parse is expected
+    (* The spec phase found nothing fatal, so the strict build is expected
        to succeed; anything it still rejects surfaces as E100 rather than
        an exception. *)
-    match construct spec.spec_source with
-    | { app; system } ->
+    match build_app d with
+    | app ->
         let system =
-          match system with
+          match spec_system with
           | Some s -> s
           | None ->
               Rtlb.System.shared_uniform
                 ~resources:(Rtlb.App.resource_set app)
         in
-        let line_of =
-          let tbl = Hashtbl.create 16 in
-          List.iter
-            (fun (ts : Rtlb.Validate.task_spec) ->
-              match ts.Rtlb.Validate.ts_line with
-              | Some l -> Hashtbl.replace tbl ts.Rtlb.Validate.ts_name l
-              | None -> ())
-            spec.spec_tasks;
-          fun name ->
-            (* Periodic unrolling names jobs "t@k"; report the line of the
-               declaring task. *)
-            let base =
-              match String.index_opt name '@' with
-              | Some i -> String.sub name 0 i
-              | None -> name
-            in
-            Hashtbl.find_opt tbl base
+        let names, _ = index_names d.tasks in
+        let line_of name =
+          (* Periodic unrolling names jobs "t@k"; report the line of the
+             declaring task. *)
+          let stop =
+            match String.index_opt name '@' with
+            | Some i -> i
+            | None -> String.length name
+          in
+          match find names name 0 stop with
+          | -1 -> None
+          | i -> d.tasks.(i).Rtlb.Validate.ts_line
         in
         let all = diags @ Rtlb.Validate.check_windows ~line_of ~system app in
         (* Interleave the two phases by source line (stable; unlocated

@@ -12,7 +12,15 @@
     v}
 
     A file may declare either one [shared] line or one or more [node]
-    lines (not both).  Task ids are assigned in declaration order. *)
+    lines (not both).  Task ids are assigned in declaration order.
+    Spaces, tabs and carriage returns all separate words (CRLF files read
+    like LF ones); a [task] or [node] line may give each key it reads
+    only once.  [docs/FILE_FORMAT.md] has the full rules.
+
+    Reading is one scan of the text: words are index ranges, only the
+    names a declaration keeps are copied, edge endpoints are resolved
+    against the task names without a copy, and the graph is built once
+    by {!Dag.of_arrays}. *)
 
 type t = { app : Rtlb.App.t; system : Rtlb.System.t option }
 
@@ -21,7 +29,8 @@ exception Parse_error of int * string
 
 val parse : string -> t
 (** Parse the full text of an application file.
-    @raise Parse_error on malformed input — including semantic problems
+    @raise Parse_error on malformed input — a repeated key included, and
+      semantic problems
       (duplicate task names, edges between undeclared tasks, self loops,
       duplicate edges, precedence cycles), each located at the offending
       source line.  Never raises [Dag.Cycle] or [Invalid_argument].
@@ -41,24 +50,22 @@ val parse_file : string -> t
     tolerating semantic errors — so {!check} can report {e every} problem
     at once. *)
 
-type spec = {
-  spec_tasks : Rtlb.Validate.task_spec list;
-  spec_edges : Rtlb.Validate.edge_spec list;
-  spec_system : Rtlb.System.t option;
-  spec_source : string;  (** The original text, for the window phase. *)
-}
+type spec
+(** The scanned declarations of one file and its system model. *)
 
 val parse_spec : string -> spec
 (** Tokenize without constructing the application.
     @raise Parse_error only on syntax-level problems (unknown directive,
-      malformed [key=value], non-integer fields, missing required keys). *)
+      malformed [key=value], repeated keys, non-integer fields, missing
+      required keys). *)
 
 val parse_spec_file : string -> spec
 (** @raise Parse_error and [Sys_error]. *)
 
 val check : spec -> Rtlb.Validate.diag list
 (** {!Rtlb.Validate.check_spec} over the declarations; when that finds no
-    errors, the application is built and {!Rtlb.Validate.check_windows}
+    errors, the application is built from the same declarations (the
+    text is not read again) and {!Rtlb.Validate.check_windows}
     appends the EST/LCT-phase diagnostics (with source lines; unrolled
     periodic jobs [t@k] report the line of the declaring task).  Anything
     the strict parse still rejects becomes an [E100] diagnostic — this

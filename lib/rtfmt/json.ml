@@ -8,25 +8,49 @@ type t =
 
 (* ---------------- printing ---------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let hex = "0123456789abcdef"
+
+(* Writes [s] JSON-escaped into [buf]: runs that need no escape are
+   copied whole. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let flush from upto =
+    if upto > from then Buffer.add_substring buf s from (upto - from)
+  in
+  let rec go from i =
+    if i = n then flush from i
+    else
+      let c = String.unsafe_get s i in
+      if c <> '"' && c <> '\\' && Char.code c >= 0x20 then go from (i + 1)
+      else begin
+        flush from i;
+        (match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c ->
+            Buffer.add_string buf "\\u00";
+            Buffer.add_char buf hex.[Char.code c lsr 4];
+            Buffer.add_char buf hex.[Char.code c land 15]);
+        go (i + 1) (i + 1)
+      end
+  in
+  go 0 0
+
+let spaces = String.make 64 ' '
 
 let to_string ?(indent = true) t =
   let buf = Buffer.create 256 in
-  let pad depth = if indent then Buffer.add_string buf (String.make (2 * depth) ' ') in
+  let rec pad_n k =
+    if k > 0 then begin
+      let w = min k (String.length spaces) in
+      Buffer.add_substring buf spaces 0 w;
+      pad_n (k - w)
+    end
+  in
+  let pad depth = if indent then pad_n (2 * depth) in
   let nl () = if indent then Buffer.add_char buf '\n' in
   let rec go depth = function
     | Null -> Buffer.add_string buf "null"
@@ -34,7 +58,7 @@ let to_string ?(indent = true) t =
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Str s ->
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
+        add_escaped buf s;
         Buffer.add_char buf '"'
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
@@ -64,7 +88,7 @@ let to_string ?(indent = true) t =
             end;
             pad (depth + 1);
             Buffer.add_char buf '"';
-            Buffer.add_string buf (escape name);
+            add_escaped buf name;
             Buffer.add_string buf "\": ";
             go (depth + 1) value)
           fields;

@@ -76,8 +76,71 @@ let map_weights () =
     (Dag.edge_weight doubled ~src:0 ~dst:1)
 
 (* random DAG property: generator edges always yield valid topo orders *)
+(* [of_arrays] against a reference built the way [create] used to be:
+   per-edge checks in input order with a hash table, then comparison
+   sorts of the adjacency lists; cyclicity by repeated source removal. *)
+let arb_edge_arrays =
+  QCheck.(
+    pair (int_range 0 8)
+      (list_of_size Gen.(0 -- 24)
+         (triple (int_range (-1) 8) (int_range (-1) 8) (int_range 0 9))))
+
+let of_arrays_matches_reference (n, edges) =
+  let arr = Array.of_list edges in
+  let src = Array.map (fun (s, _, _) -> s) arr in
+  let dst = Array.map (fun (_, d, _) -> d) arr in
+  let weight = Array.map (fun (_, _, w) -> w) arr in
+  let first_bad =
+    let seen = Hashtbl.create 16 in
+    let rec go e = function
+      | [] -> None
+      | (s, d, _) :: rest ->
+          if s < 0 || s >= n || d < 0 || d >= n then Some (e, Dag.Out_of_range)
+          else if s = d then Some (e, Dag.Self_loop)
+          else if Hashtbl.mem seen (s, d) then Some (e, Dag.Duplicate)
+          else begin
+            Hashtbl.add seen (s, d) ();
+            go (e + 1) rest
+          end
+    in
+    go 0 edges
+  in
+  let cyclic () =
+    let rec strip vs es =
+      let source v = not (List.exists (fun (_, d, _) -> d = v) es) in
+      match List.find_opt source vs with
+      | None -> vs <> []
+      | Some v ->
+          strip
+            (List.filter (( <> ) v) vs)
+            (List.filter (fun (s, _, _) -> s <> v) es)
+    in
+    strip (List.init n Fun.id) edges
+  in
+  let src_of (s, _, _) = s and dst_of (_, d, _) = d and weight_of (_, _, w) = w in
+  let adjacent key other v =
+    List.filter_map
+      (fun e -> if key e = v then Some (other e, weight_of e) else None)
+      edges
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  match Dag.of_arrays ~n ~src ~dst ~weight with
+  | g ->
+      first_bad = None
+      && (not (cyclic ()))
+      && Dag.n_edges g = List.length edges
+      && List.for_all
+           (fun v ->
+             Dag.succs g v = adjacent src_of dst_of v
+             && Dag.preds g v = adjacent dst_of src_of v)
+           (List.init n Fun.id)
+  | exception Dag.Bad_edge (e, kind) -> first_bad = Some (e, kind)
+  | exception Dag.Cycle _ -> first_bad = None && cyclic ()
+
 let prop_tests =
   [
+    qtest ~count:500 "of_arrays matches the list reference"
+      arb_edge_arrays of_arrays_matches_reference;
     qtest ~count:150 "generated graphs topo-sort correctly"
       (arb_instance ~max_tasks:20 ()) (fun i ->
         let g = Rtlb.App.graph i.app in

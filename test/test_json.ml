@@ -138,8 +138,45 @@ let schedule_encoding () =
             entries
       | _ -> Alcotest.fail "expected list")
 
+(* The escaper [to_string] had before it wrote into the output buffer:
+   the bytes must not change. *)
+let reference_escape str =
+  let buf = Buffer.create 16 in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    str;
+  Buffer.contents buf
+
 let prop_tests =
   [
+    qtest ~count:500 "string escaping matches the reference escaper"
+      QCheck.(pair string (int_range 0 40))
+      (fun (str, depth) ->
+        let q x = "\"" ^ x ^ "\"" in
+        let nested =
+          List.init depth Fun.id
+          |> List.fold_left (fun v _ -> Rtfmt.Json.List [ v ]) (Rtfmt.Json.Str str)
+        in
+        s (Rtfmt.Json.Str str) = q (reference_escape str)
+        && s (Rtfmt.Json.Obj [ (str, Rtfmt.Json.Null) ])
+           = "{\n  " ^ q (reference_escape str) ^ ": null\n}"
+        && s nested
+           = (let rec render d =
+                if d = depth then q (reference_escape str)
+                else
+                  "[\n" ^ String.make (2 * (d + 1)) ' ' ^ render (d + 1) ^ "\n"
+                  ^ String.make (2 * d) ' ' ^ "]"
+              in
+              render 0));
     qtest ~count:200 "print/parse roundtrips analysis JSON"
       (arb_instance ~max_tasks:10 ()) (fun i ->
         let a = Rtlb.Analysis.run (shared_of i) i.app in

@@ -92,7 +92,13 @@ let parse_errors () =
   (* infeasible task reported via task check, at the task's own line *)
   expect_error ~line:2
     "task A compute=1 deadline=5 proc=P\n\
-     task A compute=1 deadline=5 proc=P\n"
+     task A compute=1 deadline=5 proc=P\n";
+  (* of several bad edges, the first in file order is reported, whatever
+     its kind *)
+  let two = "task A compute=1 deadline=5 proc=P\ntask B compute=1 deadline=5 proc=P\n" in
+  expect_error ~line:4 (two ^ "edge A B 1\nedge A B 2\nedge A ghost 3\nedge B B 0\n");
+  expect_error ~line:3 (two ^ "edge A ghost 3\nedge A B 1\nedge A B 2\n");
+  expect_error ~line:3 (two ^ "edge B B 0\nedge A B 1\nedge A B 2\n")
 
 let shared_and_nodes_conflict () =
   match
@@ -136,6 +142,128 @@ let periodic_appfile () =
   | exception Rtfmt.Appfile.Parse_error _ -> ()
   | _ -> Alcotest.fail "expected mixing error"
 
+(* CRLF line ends and tabs are whitespace: the twin of [sample] with
+   both parses to the same instance. *)
+let crlf_and_tabs () =
+  let twin =
+    String.concat "\r\n"
+      (List.map
+         (fun l -> String.concat "\t" (String.split_on_char ' ' l))
+         (String.split_on_char '\n' sample))
+  in
+  let a = Rtfmt.Appfile.parse sample and b = Rtfmt.Appfile.parse twin in
+  check_bool "same application" true (a.Rtfmt.Appfile.app = b.Rtfmt.Appfile.app);
+  check_bool "same system" true (a.Rtfmt.Appfile.system = b.Rtfmt.Appfile.system);
+  Alcotest.(check (list string))
+    "proc names carry no CR" [ "P1"; "P1" ]
+    (Array.to_list (Rtlb.App.tasks b.Rtfmt.Appfile.app)
+    |> List.map (fun (t : Rtlb.Task.t) -> t.Rtlb.Task.proc))
+
+(* A key given twice on a task or node line is a located error on both
+   paths, not a silent first-wins. *)
+let duplicate_keys () =
+  let expect ~line ~needle text =
+    (match Rtfmt.Appfile.parse text with
+    | exception Rtfmt.Appfile.Parse_error (l, m) ->
+        check_int ("line for " ^ String.escaped text) line l;
+        check_bool (m ^ " names the key") true (string_contains ~needle m)
+    | _ -> Alcotest.fail ("expected parse error: " ^ text));
+    match Rtfmt.Appfile.parse_spec text with
+    | exception Rtfmt.Appfile.Parse_error (l, _) -> check_int "spec line" line l
+    | _ -> Alcotest.fail ("parse_spec accepted: " ^ text)
+  in
+  expect ~line:2 ~needle:"duplicate key compute="
+    "task A compute=1 deadline=9 proc=P\n\
+     task B compute=1 deadline=9 proc=P compute=5\n";
+  expect ~line:2 ~needle:"duplicate key cost="
+    "task A compute=1 deadline=9 proc=P\nnode N proc=P cost=1 cost=7\n";
+  expect ~line:1 ~needle:"duplicate key res="
+    "task A compute=1 deadline=9 proc=P res=r res=s\n";
+  (* repeating a resource inside one res= list is a unit count, not a
+     duplicate key *)
+  let { Rtfmt.Appfile.app; _ } =
+    Rtfmt.Appfile.parse "task A compute=1 deadline=9 proc=P res=r,r\n"
+  in
+  check_int "two units" 2 (Rtlb.Task.units (Rtlb.App.task app 0) "r")
+
+(* The fingerprint keys the serve cache, the journal and checkpoints;
+   these values were produced by the Printf-based writer it replaced. *)
+let pinned_fingerprints () =
+  let fp = Rtlb.Incremental.instance_fingerprint in
+  let app = Rtlb.Paper_example.app in
+  check_string "shared model" "ac3bea97c2394b81d224cd2f009f908b"
+    (fp Rtlb.Paper_example.shared app);
+  check_string "dedicated model" "b9e153186f59e2c967dede30e914c3a3"
+    (fp Rtlb.Paper_example.dedicated app);
+  let path =
+    (* dune runtest runs in test/; dune exec runs in the workspace root. *)
+    List.find Sys.file_exists
+      [ "../examples/paper_example.app"; "examples/paper_example.app" ]
+  in
+  let { Rtfmt.Appfile.app; system } = Rtfmt.Appfile.parse_file path in
+  check_string "shipped file" "ac3bea97c2394b81d224cd2f009f908b"
+    (fp (Option.get system) app)
+
+(* Re-lay a printed file without changing a declaration: runs of spaces
+   and tabs between words, leading and trailing blanks, trailing
+   comments, blank and comment-only lines, CRLF ends, and the edge lines
+   moved before the task lines or after the system lines. *)
+let with_layout_noise rng text =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' text) in
+  let is_edge l = String.length l > 5 && String.sub l 0 5 = "edge " in
+  let edges, others = List.partition is_edge lines in
+  let lines = if Random.State.bool rng then edges @ others else others @ edges in
+  let noisy line =
+    let words = String.split_on_char ' ' line in
+    let sep () = pick [ " "; "  "; "\t"; " \t "; "\t\t" ] in
+    let body =
+      List.fold_left
+        (fun acc w -> if acc = "" then w else acc ^ sep () ^ w)
+        "" words
+    in
+    let lead = pick [ ""; ""; " "; "\t" ] and trail = pick [ ""; ""; " "; "\t " ] in
+    let comment = pick [ ""; ""; ""; " # note"; "\t#x=1 edge" ] in
+    lead ^ body ^ trail ^ comment
+  in
+  let filler () = pick [ ""; "   "; "\t"; "# comment"; "  # task X compute=1" ] in
+  let eol = if Random.State.bool rng then "\r\n" else "\n" in
+  let out = Buffer.create (String.length text * 2) in
+  List.iter
+    (fun l ->
+      if Random.State.int rng 4 = 0 then begin
+        Buffer.add_string out (filler ());
+        Buffer.add_string out eol
+      end;
+      Buffer.add_string out (noisy l);
+      Buffer.add_string out eol)
+    lines;
+  Buffer.contents out
+
+let unlocated ds =
+  List.map (fun d -> { d with Rtlb.Validate.d_line = None }) ds
+
+(* Layout noise changes nothing: the same application and system, the
+   same fingerprint, and the same diagnostics (none of them errors). *)
+let layout_noise_invariant (i, seed) =
+  List.for_all
+    (fun system ->
+      let clean = Rtfmt.Appfile.to_string ~system i.app in
+      let noisy = with_layout_noise (Random.State.make [| seed |]) clean in
+      let a = Rtfmt.Appfile.parse clean and b = Rtfmt.Appfile.parse noisy in
+      let fp t =
+        Rtlb.Incremental.instance_fingerprint
+          (Option.get t.Rtfmt.Appfile.system) t.Rtfmt.Appfile.app
+      in
+      let check text = Rtfmt.Appfile.check (Rtfmt.Appfile.parse_spec text) in
+      let diags = check noisy in
+      a.Rtfmt.Appfile.app = b.Rtfmt.Appfile.app
+      && a.Rtfmt.Appfile.system = b.Rtfmt.Appfile.system
+      && fp a = fp b
+      && Rtlb.Validate.errors diags = []
+      && unlocated diags = unlocated (check clean))
+    [ shared_of i; dedicated_of i ]
+
 let arb_noise =
   (* printable-ish noise with format keywords sprinkled in, to reach the
      parser's deeper branches *)
@@ -161,13 +289,15 @@ let prop_tests =
         | exception Rtfmt.Appfile.Parse_error _ -> true
         | exception _ -> false);
     qtest ~count:150 "appfile roundtrips generated instances"
-      (arb_instance ~max_tasks:16 ()) (fun i ->
+      (QCheck.pair (arb_instance ~max_tasks:16 ()) QCheck.small_nat)
+      (fun ((i, _) as case) ->
         let printed = Rtfmt.Appfile.to_string i.app in
         let reparsed = (Rtfmt.Appfile.parse printed).Rtfmt.Appfile.app in
         Rtlb.App.n_tasks reparsed = Rtlb.App.n_tasks i.app
         && Array.for_all2 Rtlb.Task.equal (Rtlb.App.tasks i.app)
              (Rtlb.App.tasks reparsed)
-        && Rtfmt.Appfile.to_string reparsed = printed);
+        && Rtfmt.Appfile.to_string reparsed = printed
+        && layout_noise_invariant case);
   ]
 
 let suite =
@@ -184,6 +314,11 @@ let suite =
         Alcotest.test_case "paper example roundtrips" `Quick
           paper_example_roundtrip;
         Alcotest.test_case "periodic appfile" `Quick periodic_appfile;
+        Alcotest.test_case "CRLF and tabs are whitespace" `Quick crlf_and_tabs;
+        Alcotest.test_case "duplicate keys are located errors" `Quick
+          duplicate_keys;
+        Alcotest.test_case "instance fingerprints are pinned" `Quick
+          pinned_fingerprints;
       ]
       @ prop_tests );
   ]
