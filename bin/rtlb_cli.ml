@@ -225,26 +225,8 @@ let check_cmd =
     let diags =
       match Rtfmt.Appfile.parse_spec_file path with
       | spec -> Rtfmt.Appfile.check spec
-      | exception Rtfmt.Appfile.Parse_error (l, m) ->
-          [
-            {
-              Rtlb.Validate.d_code = "E100";
-              d_severity = Rtlb.Validate.Error;
-              d_subject = "application";
-              d_message = m;
-              d_line = (if l > 0 then Some l else None);
-            };
-          ]
-      | exception Sys_error m ->
-          [
-            {
-              Rtlb.Validate.d_code = "E100";
-              d_severity = Rtlb.Validate.Error;
-              d_subject = "application";
-              d_message = m;
-              d_line = None;
-            };
-          ]
+      | exception Rtfmt.Appfile.Parse_error (l, m) -> [ Rtfmt.Appfile.e100 l m ]
+      | exception Sys_error m -> [ Rtfmt.Appfile.e100 0 m ]
     in
     List.iter
       (fun d -> print_endline (Rtlb.Validate.to_string ~file:path d))

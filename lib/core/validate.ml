@@ -149,7 +149,15 @@ let check_magnitude ~system app =
 
 (* ---------------- spec-level checks ---------------- *)
 
-let edge_subject e = Printf.sprintf "edge %s->%s" e.es_src e.es_dst
+type resolved = {
+  r_tasks : task_spec array;
+  r_first : int array;
+  r_src : int array;
+  r_dst : int array;
+  r_message : int array;
+  r_line : int -> int option;
+  r_undeclared : string array;
+}
 
 let check_task add (ts : task_spec) =
   let add ~code ~severity fmt =
@@ -170,6 +178,9 @@ let check_task add (ts : task_spec) =
       if k < 1 then
         add ~code:"E104" ~severity:Error "%d units of resource '%s'" k r)
     ts.ts_demands;
+  if ts.ts_proc <> "" && List.mem_assoc ts.ts_proc ts.ts_demands then
+    add ~code:"E104" ~severity:Error
+      "processor type '%s' listed among its resources" ts.ts_proc;
   match ts.ts_period with
   | None ->
       if ts.ts_release < 0 then
@@ -196,153 +207,97 @@ let check_task add (ts : task_spec) =
           "relative deadline %d cannot hold compute %d" ts.ts_deadline
           ts.ts_compute
 
-(* Edge endpoints resolved once, by name: a declared name gets the index
-   of its first declaration, an undeclared one an id from [n] up, so
-   every later pass keys edges by ints. *)
-type resolved = {
-  n : int;  (* declared tasks; ids below are declared *)
-  names : string array;  (* task index -> name *)
-  src : int array;
-  dst : int array;
-  lines : int option array;
-  usable : bool array;  (* declared, no self loop, first occurrence *)
-}
-
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
-(* Kahn's algorithm over the usable edges; whatever survives is (part
-   of) a cycle, from which one concrete cycle is walked out for the
-   message. *)
-let check_cycles add r =
-  let n = r.n and names = r.names in
-  let succs = Array.make (max n 1) [] in
-  let indeg = Array.make (max n 1) 0 in
-  Array.iteri
-    (fun e ok ->
-      if ok then begin
-        let s = r.src.(e) and d = r.dst.(e) in
-        succs.(s) <- d :: succs.(s);
-        indeg.(d) <- indeg.(d) + 1
-      end)
-    r.usable;
-  let queue = Queue.create () in
-  for i = 0 to n - 1 do
-    if indeg.(i) = 0 then Queue.add i queue
+(* Whether each edge joins the same two ids (in [0, ids)) as an earlier
+   one.  Grouped by source with a stable counting sort, the edges of one
+   source keep their order, and a stamp per destination spots a second
+   visit. *)
+let repeats ~ids src dst =
+  let m = Array.length src in
+  let next = Array.make (ids + 1) 0 in
+  Array.iter (fun s -> next.(s) <- next.(s) + 1) src;
+  for v = 1 to ids do
+    next.(v) <- next.(v) + next.(v - 1)
   done;
-  let removed = ref 0 in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    incr removed;
-    List.iter
-      (fun d ->
-        indeg.(d) <- indeg.(d) - 1;
-        if indeg.(d) = 0 then Queue.add d queue)
-      succs.(v)
+  let by_src = Array.make m 0 in
+  for e = m - 1 downto 0 do
+    let s = src.(e) in
+    next.(s) <- next.(s) - 1;
+    by_src.(next.(s)) <- e
   done;
-  if !removed < n then begin
-    (* walk one cycle inside the residual graph *)
-    let residual i = indeg.(i) > 0 in
-    let start = ref 0 in
-    for i = n - 1 downto 0 do
-      if residual i then start := i
-    done;
-    let rec walk path v =
-      if List.mem v path then
-        (* drop the lead-in, keep the loop *)
-        let rec cut = function
-          | x :: _ as l when x = v -> l
-          | _ :: rest -> cut rest
-          | [] -> []
-        in
-        cut (List.rev (v :: path))
-      else
-        match List.find_opt residual succs.(v) with
-        | Some next -> walk (v :: path) next
-        | None -> List.rev (v :: path)
-    in
-    (* [walk] closes the loop by repeating the entry vertex; drop that
-       tail so the pairing and rendering below close it exactly once. *)
-    let cycle =
-      match walk [] !start with
-      | first :: _ :: _ as l when List.nth l (List.length l - 1) = first ->
-          List.filteri (fun i _ -> i < List.length l - 1) l
-      | l -> l
-    in
-    let cycle_names = List.map (fun i -> names.(i)) cycle in
-    let line =
-      (* earliest source line of an edge along the cycle; its vertices
-         are distinct, so each has one successor on it *)
-      let next = Array.make (max n 1) (-1) in
-      (match cycle with
-      | [] -> ()
-      | first :: _ ->
-          let rec link = function
-            | a :: (b :: _ as rest) ->
-                next.(a) <- b;
-                link rest
-            | [ last ] -> next.(last) <- first
-            | [] -> ()
-          in
-          link cycle);
-      let best = ref None in
-      Array.iteri
-        (fun e ok ->
-          if ok && next.(r.src.(e)) = r.dst.(e) then
-            match (r.lines.(e), !best) with
-            | Some l, Some b when l >= b -> ()
-            | Some l, _ -> best := Some l
-            | None, _ -> ())
-        r.usable;
-      !best
-    in
-    add ~code:"E101" ~severity:Error ~subject:"application" ~line
-      (Printf.sprintf "precedence cycle: %s -> %s"
-         (String.concat " -> " cycle_names)
-         (match cycle_names with first :: _ -> first | [] -> "?"))
-  end
+  (* [next] is done with: it becomes the stamps *)
+  let stamp = next in
+  Array.fill stamp 0 ids (-1);
+  let repeated = Array.make m false in
+  Array.iter
+    (fun e ->
+      let d = dst.(e) in
+      if stamp.(d) = src.(e) then repeated.(e) <- true else stamp.(d) <- src.(e))
+    by_src;
+  repeated
 
+(* The position of [x] in [names], or [-1]. *)
+let index_of names x =
+  let rec go i =
+    if i = Array.length names then -1
+    else if String.equal names.(i) x then i
+    else go (i + 1)
+  in
+  go 0
+
+(* Processor and resource references against the system model, and the
+   model's resources no task uses.  Models are small, so names are
+   looked up by scanning them. *)
 let check_system add ~system tasks =
-  let used = Hashtbl.create 16 in
-  List.iter
-    (fun ts ->
-      Hashtbl.replace used ts.ts_proc ();
-      List.iter (fun (r, _) -> Hashtbl.replace used r ()) ts.ts_demands)
-    tasks;
-  (match system with
+  let task_error (ts : task_spec) fmt =
+    Printf.ksprintf
+      (fun m ->
+        add ~code:"E103" ~severity:Error ~subject:("task " ^ ts.ts_name)
+          ~line:ts.ts_line m)
+      fmt
+  in
+  let unused names used what =
+    Array.iteri
+      (fun i r ->
+        if not used.(i) then
+          add ~code:"W202" ~severity:Warning ~subject:("resource " ^ r)
+            ~line:None what)
+      names
+  in
+  match system with
   | System.Shared costs ->
-      let declared r = List.mem_assoc r costs in
-      List.iter
+      let names = Array.of_list (List.map fst costs) in
+      let used = Array.make (Array.length names) false in
+      Array.iter
         (fun ts ->
-          let add ~code fmt =
-            Printf.ksprintf
-              (fun m ->
-                add ~code ~severity:Error ~subject:("task " ^ ts.ts_name)
-                  ~line:ts.ts_line m)
-              fmt
-          in
-          if ts.ts_proc <> "" && not (declared ts.ts_proc) then
-            add ~code:"E103" "processor type '%s' has no cost in the shared model"
-              ts.ts_proc;
+          if ts.ts_proc <> "" then begin
+            match index_of names ts.ts_proc with
+            | -1 ->
+                task_error ts "processor type '%s' has no cost in the shared model"
+                  ts.ts_proc
+            | i -> used.(i) <- true
+          end;
           List.iter
             (fun (r, _) ->
-              if not (declared r) then
-                add ~code:"E103" "resource '%s' has no cost in the shared model" r)
+              match index_of names r with
+              | -1 -> task_error ts "resource '%s' has no cost in the shared model" r
+              | i -> used.(i) <- true)
             ts.ts_demands)
         tasks;
-      List.iter
-        (fun (r, _) ->
-          if not (Hashtbl.mem used r) then
-            add ~code:"W202" ~severity:Warning ~subject:("resource " ^ r)
-              ~line:None "declared in the system model but used by no task")
-        costs
+      unused names used "declared in the system model but used by no task"
   | System.Dedicated nts ->
-      List.iter
+      let names =
+        List.concat_map
+          (fun (nt : System.node_type) ->
+            nt.System.nt_proc :: List.map fst nt.System.nt_provides)
+          nts
+        |> List.sort_uniq String.compare |> Array.of_list
+      in
+      let used = Array.make (Array.length names) false in
+      let use r = match index_of names r with -1 -> () | i -> used.(i) <- true in
+      Array.iter
         (fun ts ->
+          use ts.ts_proc;
+          List.iter (fun (r, _) -> use r) ts.ts_demands;
           let with_proc =
             List.filter
               (fun (nt : System.node_type) ->
@@ -355,173 +310,199 @@ let check_system add ~system tasks =
               ts.ts_demands
           in
           if ts.ts_proc <> "" && with_proc = [] then
-            add ~code:"E103" ~severity:Error ~subject:("task " ^ ts.ts_name)
-              ~line:ts.ts_line
-              (Printf.sprintf "no node type provides processor '%s'" ts.ts_proc)
+            task_error ts "no node type provides processor '%s'" ts.ts_proc
           else if
             ts.ts_proc <> ""
             && List.for_all (fun (_, k) -> k >= 1) ts.ts_demands
             && not (List.exists hosts with_proc)
           then
-            add ~code:"E103" ~severity:Error ~subject:("task " ^ ts.ts_name)
-              ~line:ts.ts_line
-              (Printf.sprintf
-                 "no node type with processor '%s' provides its resources (%s)"
-                 ts.ts_proc
-                 (String.concat ", "
-                    (List.map
-                       (fun (r, k) ->
-                         if k = 1 then r else Printf.sprintf "%dx%s" k r)
-                       ts.ts_demands))))
+            task_error ts
+              "no node type with processor '%s' provides its resources (%s)"
+              ts.ts_proc
+              (String.concat ", "
+                 (List.map
+                    (fun (r, k) ->
+                      if k = 1 then r else Printf.sprintf "%dx%s" k r)
+                    ts.ts_demands)))
         tasks;
-      let provided = Hashtbl.create 16 in
-      List.iter
-        (fun (nt : System.node_type) ->
-          Hashtbl.replace provided nt.System.nt_proc ();
-          List.iter (fun (r, _) -> Hashtbl.replace provided r ()) nt.System.nt_provides)
-        nts;
-      Hashtbl.fold (fun r () acc -> r :: acc) provided []
-      |> List.sort String.compare
-      |> List.iter (fun r ->
-             if not (Hashtbl.mem used r) then
-               add ~code:"W202" ~severity:Warning ~subject:("resource " ^ r)
-                 ~line:None "provided by the node catalogue but used by no task"))
+      unused names used "provided by the node catalogue but used by no task"
 
-let check_spec ~system ~tasks ~edges =
+let check_resolved ~system r =
   let acc = ref [] in
-  let add ~code ~severity ~subject ?(line = None) message =
+  let add ~code ~severity ~subject ~line message =
     acc :=
       { d_code = code; d_severity = severity; d_subject = subject;
         d_message = message; d_line = line }
       :: !acc
   in
+  let tasks = r.r_tasks in
+  let n = Array.length tasks in
   (* per-task quantity and window checks *)
-  List.iter
-    (fun ts ->
-      check_task
-        (fun ~code ~severity ~subject ~line m ->
-          add ~code ~severity ~subject ~line m)
-        ts)
-    tasks;
-  (* duplicate task names; [index] keeps each name's first declaration *)
-  let n = List.length tasks in
-  let names = Array.make n "" in
-  let index = Hashtbl.create (2 * n + 1) in
-  List.iteri
+  Array.iter (check_task add) tasks;
+  (* duplicate task names *)
+  Array.iteri
     (fun i ts ->
-      names.(i) <- ts.ts_name;
-      if Hashtbl.mem index ts.ts_name then
+      if r.r_first.(i) <> i then
         add ~code:"E105" ~severity:Error ~subject:("task " ^ ts.ts_name)
-          ~line:ts.ts_line "duplicate task name"
-      else Hashtbl.add index ts.ts_name i)
+          ~line:ts.ts_line "duplicate task name")
     tasks;
   (* mixed periodic and one-shot *)
-  let periodic, oneshot =
-    List.partition (fun ts -> ts.ts_period <> None) tasks
+  let periodic =
+    Array.fold_left (fun k ts -> if ts.ts_period <> None then k + 1 else k) 0 tasks
   in
-  if periodic <> [] && oneshot <> [] then
+  if periodic > 0 && periodic < n then
     add ~code:"E106" ~severity:Error ~subject:"application" ~line:None
       (Printf.sprintf
          "mixed periodic and one-shot tasks (%d periodic, %d one-shot)"
-         (List.length periodic) (List.length oneshot));
-  (* per-edge checks, on endpoints resolved once *)
-  let edges = Array.of_list edges in
-  let m = Array.length edges in
-  let unknown_ids = Hashtbl.create 16 in
-  let id name =
-    match Hashtbl.find_opt index name with
-    | Some i -> i
-    | None -> (
-        match Hashtbl.find_opt unknown_ids name with
-        | Some i -> i
-        | None ->
-            let i = n + Hashtbl.length unknown_ids in
-            Hashtbl.add unknown_ids name i;
-            i)
+         periodic (n - periodic));
+  (* per-edge checks; [usable] edges join two distinct declared tasks
+     for the first time *)
+  let m = Array.length r.r_src in
+  let ids = n + Array.length r.r_undeclared in
+  let name v = if v < n then tasks.(v).ts_name else r.r_undeclared.(v - n) in
+  let repeated = repeats ~ids r.r_src r.r_dst in
+  let check_edge e =
+    let s = r.r_src.(e) and d = r.r_dst.(e) in
+    let add ~code fmt =
+      Printf.ksprintf
+        (fun msg ->
+          add ~code ~severity:Error
+            ~subject:(Printf.sprintf "edge %s->%s" (name s) (name d))
+            ~line:(r.r_line e) msg)
+        fmt
+    in
+    if r.r_message.(e) < 0 then
+      add ~code:"E104" "negative message size %d" r.r_message.(e);
+    let undeclared v = add ~code:"E103" "references undeclared task '%s'" (name v) in
+    (match (s < n, d < n) with
+    | true, true -> ()
+    | false, true -> undeclared s
+    | true, false -> undeclared d
+    | false, false ->
+        if s = d then undeclared s
+        else if String.compare (name s) (name d) < 0 then begin
+          undeclared s;
+          undeclared d
+        end
+        else begin
+          undeclared d;
+          undeclared s
+        end);
+    if s = d && s < n then add ~code:"E101" "self-loop";
+    if repeated.(e) then add ~code:"E105" "duplicate edge"
   in
-  let r =
-    {
-      n;
-      names;
-      src = Array.map (fun e -> id e.es_src) edges;
-      dst = Array.map (fun e -> id e.es_dst) edges;
-      lines = Array.map (fun e -> e.es_line) edges;
-      usable = Array.make m false;
-    }
+  let usable e =
+    let s = r.r_src.(e) and d = r.r_dst.(e) in
+    (not repeated.(e)) && s < n && d < n && s <> d
   in
-  let ids = n + Hashtbl.length unknown_ids in
-  let seen_edges = Itbl.create (2 * m + 1) in
-  Array.iteri
-    (fun k e ->
-      let add ~code ~severity fmt =
-        Printf.ksprintf
-          (fun m ->
-            add ~code ~severity ~subject:(edge_subject e) ~line:e.es_line m)
-          fmt
-      in
-      let s = r.src.(k) and d = r.dst.(k) in
-      if e.es_message < 0 then
-        add ~code:"E104" ~severity:Error "negative message size %d" e.es_message;
-      let undeclared name =
-        add ~code:"E103" ~severity:Error "references undeclared task '%s'" name
-      in
-      (match (s < n, d < n) with
-      | true, true -> ()
-      | false, true -> undeclared e.es_src
-      | true, false -> undeclared e.es_dst
-      | false, false ->
-          if s = d then undeclared e.es_src
-          else if String.compare e.es_src e.es_dst < 0 then begin
-            undeclared e.es_src;
-            undeclared e.es_dst
-          end
-          else begin
-            undeclared e.es_dst;
-            undeclared e.es_src
-          end);
-      if s = d && s < n then add ~code:"E101" ~severity:Error "self-loop";
-      let key = (s * ids) + d in
-      if Itbl.mem seen_edges key then
-        add ~code:"E105" ~severity:Error "duplicate edge"
-      else begin
-        Itbl.add seen_edges key ();
-        r.usable.(k) <- s < n && d < n && s <> d
-      end)
-    edges;
+  let kept = ref 0 in
+  for e = 0 to m - 1 do
+    if usable e then incr kept;
+    if not (usable e && r.r_message.(e) >= 0) then check_edge e
+  done;
   (* empty application *)
-  if tasks = [] then
+  if n = 0 then
     add ~code:"W204" ~severity:Warning ~subject:"application" ~line:None
       "no tasks: every bound and the cost are 0";
   (* magnitude contract; periodic declarations are checked once unrolled,
      by [check_windows] *)
-  if periodic = [] then begin
+  if periodic = 0 then begin
     let x = extent () in
-    let res = Hashtbl.create 16 in
-    List.iter
+    Array.iter
       (fun ts ->
         add_task x ~release:ts.ts_release ~deadline:ts.ts_deadline
-          ~compute:ts.ts_compute ~demands:ts.ts_demands;
-        Hashtbl.replace res ts.ts_proc ();
-        List.iter (fun (r, _) -> Hashtbl.replace res r ()) ts.ts_demands)
+          ~compute:ts.ts_compute ~demands:ts.ts_demands)
       tasks;
-    Array.iter (fun e -> add_message x e.es_message) edges;
-    Option.iter
-      (fun d -> acc := d :: !acc)
-      (magnitude_diag x ~cost:(cost_sum system ~n_resources:(Hashtbl.length res)))
+    Array.iter (add_message x) r.r_message;
+    let cost =
+      match system with
+      | Some _ -> cost_sum system ~n_resources:0
+      | None ->
+          (* the uniform model prices each resource of RES at 1 *)
+          let res = Hashtbl.create 16 in
+          Array.iter
+            (fun ts ->
+              Hashtbl.replace res ts.ts_proc ();
+              List.iter (fun (r, _) -> Hashtbl.replace res r ()) ts.ts_demands)
+            tasks;
+          Hashtbl.length res
+    in
+    Option.iter (fun d -> acc := d :: !acc) (magnitude_diag x ~cost)
   end;
-  (* cycles through the whole graph *)
-  check_cycles
-    (fun ~code ~severity ~subject ~line m -> add ~code ~severity ~subject ~line m)
-    r;
+  (* cycles through the usable edges, located at their earliest edge *)
+  let src, dst =
+    if !kept = m then (r.r_src, r.r_dst)
+    else begin
+      let src = Array.make !kept 0 and dst = Array.make !kept 0 and j = ref 0 in
+      for e = 0 to m - 1 do
+        if usable e then begin
+          src.(!j) <- r.r_src.(e);
+          dst.(!j) <- r.r_dst.(e);
+          incr j
+        end
+      done;
+      (src, dst)
+    end
+  in
+  Option.iter
+    (fun cycle ->
+      let next = Array.make n (-1) and around = Array.of_list cycle in
+      Array.iteri
+        (fun i v -> next.(v) <- around.((i + 1) mod Array.length around))
+        around;
+      let first = ref max_int in
+      for e = 0 to m - 1 do
+        if usable e && next.(r.r_src.(e)) = r.r_dst.(e) then
+          Option.iter (fun l -> first := min !first l) (r.r_line e)
+      done;
+      let names = List.map name (cycle @ [ List.hd cycle ]) in
+      add ~code:"E101" ~severity:Error ~subject:"application"
+        ~line:(if !first < max_int then Some !first else None)
+        ("precedence cycle: " ^ String.concat " -> " names))
+    (Dag.find_cycle ~n ~src ~dst);
   (* system-model references *)
-  (match system with
-  | None -> ()
-  | Some system ->
-      check_system
-        (fun ~code ~severity ~subject ~line m ->
-          add ~code ~severity ~subject ~line m)
-        ~system tasks);
+  Option.iter (fun system -> check_system add ~system tasks) system;
   by_line (List.rev !acc)
+
+(* Names resolved by string: a declared name is the index of its first
+   declaration, an undeclared one gets an id from [n] up. *)
+let check_spec ~system ~tasks ~edges =
+  let tasks = Array.of_list tasks and edges = Array.of_list edges in
+  let n = Array.length tasks in
+  let index = Hashtbl.create (2 * n + 1) in
+  let first =
+    Array.mapi
+      (fun i ts ->
+        match Hashtbl.find_opt index ts.ts_name with
+        | Some j -> j
+        | None ->
+            Hashtbl.add index ts.ts_name i;
+            i)
+      tasks
+  in
+  let undeclared = ref [] and ids = ref n in
+  let id name =
+    match Hashtbl.find_opt index name with
+    | Some i -> i
+    | None ->
+        let i = !ids in
+        incr ids;
+        Hashtbl.add index name i;
+        undeclared := name :: !undeclared;
+        i
+  in
+  let src = Array.map (fun e -> id e.es_src) edges in
+  let dst = Array.map (fun e -> id e.es_dst) edges in
+  check_resolved ~system
+    {
+      r_tasks = tasks;
+      r_first = first;
+      r_src = src;
+      r_dst = dst;
+      r_message = Array.map (fun e -> e.es_message) edges;
+      r_line = (fun e -> edges.(e).es_line);
+      r_undeclared = Array.of_list (List.rev !undeclared);
+    }
 
 (* ---------------- post-construction window checks ---------------- *)
 

@@ -23,7 +23,7 @@
       processor/resource the system model does not provide
     - [E104] invalid quantity: negative compute/release/deadline/message,
       non-positive period, offset outside [\[0, period)], zero resource
-      units, empty name
+      units, empty name, a processor type among its own resources
     - [E105] duplicate task name or duplicate edge
     - [E106] mixed periodic and one-shot tasks
     - [E107] magnitudes outside the integer contract ({!magnitude_limit})
@@ -44,7 +44,7 @@ type diag = {
 
 (** Pre-construction view of a task: what an application file declares,
     before [Task.make]/[App.make] get a chance to reject it.  Produced by
-    [Rtfmt.Appfile.parse_spec] (with source lines) or {!spec_of_app}. *)
+    [Rtfmt.Appfile]'s scanner (with source lines) or {!spec_of_app}. *)
 type task_spec = {
   ts_name : string;
   ts_compute : int;
@@ -100,9 +100,10 @@ val spec_of_app : App.t -> task_spec list * edge_spec list
     rather than wrap.
 
     The check saturates instead of wrapping, so it is itself safe on any
-    input.  It runs in {!check_spec} (one-shot declarations), in
+    input.  It runs in {!check_resolved} (one-shot declarations) and in
     {!check_windows} (constructed applications, periodic ones after
-    unrolling) and in [Rtfmt.Appfile.parse]; a violation is [E107]. *)
+    unrolling); [Rtfmt.Appfile.parse] runs the first, and the second's
+    magnitude check on unrolled periodic files.  A violation is [E107]. *)
 
 val magnitude_limit : int
 (** [max_int / 16] ([2^58 - 1] with 63-bit ints). *)
@@ -111,13 +112,40 @@ val check_magnitude : system:System.t option -> App.t -> diag option
 (** [E107] when the application breaks the contract above under the
     given model ([None]: the uniform model over RES). *)
 
+(** Declarations keyed by int: what {!check_resolved} judges.  Task [i]
+    is [r_tasks.(i)]; edge [e] joins [r_src.(e)] to [r_dst.(e)]. *)
+type resolved = {
+  r_tasks : task_spec array;
+  r_first : int array;
+      (** [r_first.(i)]: the first task declared under [r_tasks.(i)]'s
+          name — [i] itself unless task [i] redeclares it. *)
+  r_src : int array;
+      (** Edge endpoints: a declared name is the index of its first
+          declaration, an undeclared one the id [n + k] (with [n] tasks),
+          named by [r_undeclared.(k)]. *)
+  r_dst : int array;
+  r_message : int array;
+  r_line : int -> int option;
+      (** The 1-based source line of an edge, when known.  Asked only
+          for edges a diagnostic names or that lie on the reported
+          cycle, in edge order within each. *)
+  r_undeclared : string array;
+}
+
+val check_resolved : system:System.t option -> resolved -> diag list
+(** Every spec-level check ([E101]-[E107], [W201], [W202], [W204]),
+    exhaustively: one diagnostic per offence, sorted by source line
+    (unlocated ones last).  Tasks and edges are keyed by int, never by
+    a hashed name; the cycle comes from {!Dag.find_cycle}.  An empty
+    result (or warnings only) means [Task.make] + [Dag.of_arrays] +
+    [App.of_graph] (or [Periodic.ptask] + [unroll]) will accept the
+    input — only unrolling can still fail, on an overflowing
+    hyperperiod. *)
+
 val check_spec :
   system:System.t option -> tasks:task_spec list -> edges:edge_spec list -> diag list
-(** Every spec-level check ([E101]-[E107], [W201], [W202], [W204]),
-    exhaustively:
-    one diagnostic per offence, sorted by source line.  An empty result
-    (or warnings only) means [Task.make] + [App.make] (or
-    [Periodic.ptask] + [unroll]) will accept the input. *)
+(** {!check_resolved} on declarations whose edges name their endpoints:
+    the names are resolved first. *)
 
 val check_windows :
   ?line_of:(string -> int option) -> system:System.t -> App.t -> diag list

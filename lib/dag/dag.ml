@@ -8,81 +8,112 @@ type t = {
 
 exception Cycle of int list
 
-(* Kahn's algorithm (FIFO, sources in increasing order, successors in
-   list order); on failure, walks the leftover vertices to report one
-   concrete cycle. *)
-let topological_sort n succ indegree =
-  let queue = Array.make n 0 in
-  let tail = ref 0 in
-  Array.iteri
-    (fun v d ->
-      if d = 0 then begin
-        queue.(!tail) <- v;
-        incr tail
-      end)
-    indegree;
-  let head = ref 0 in
-  while !head < !tail do
-    let v = queue.(!head) in
-    incr head;
-    List.iter
-      (fun (w, _) ->
-        indegree.(w) <- indegree.(w) - 1;
-        if indegree.(w) = 0 then begin
-          queue.(!tail) <- w;
-          incr tail
-        end)
-      succ.(v)
-  done;
-  if !tail = n then queue
-  else begin
-    (* Find a cycle among vertices with remaining in-degree. *)
-    let in_cycle = Array.make n false in
-    Array.iteri (fun v d -> if d > 0 then in_cycle.(v) <- true) indegree;
-    let start = ref 0 in
-    Array.iteri (fun v b -> if b && not in_cycle.(!start) then start := v)
-      in_cycle;
-    let seen = Array.make n (-1) in
-    let rec walk v step path =
-      if seen.(v) >= 0 then
-        (* Trim the tail before the first repetition. *)
-        List.rev (v :: path)
-        |> List.filteri (fun i _ -> i >= seen.(v))
-      else begin
-        seen.(v) <- step;
-        let next =
-          List.find_map
-            (fun (w, _) -> if in_cycle.(w) then Some w else None)
-            succ.(v)
-        in
-        match next with
-        | Some w -> walk w (step + 1) (v :: path)
-        | None -> List.rev (v :: path)
-      end
-    in
-    raise (Cycle (walk !start 0 []))
-  end
-
 type edge_error = Out_of_range | Self_loop | Duplicate
 
 exception Bad_edge of int * edge_error
 
-(* Stable counting sort of the edge indices in [order] by [key.(e)], a
-   vertex in [0, n). *)
-let sort_by n key order =
+(* Edge indices grouped by a vertex: the run of [v] is
+   [edge.(start.(v) .. start.(v+1) - 1)]. *)
+type runs = { start : int array; edge : int array }
+
+(* Stable counting sort of the [m] edge indices [order k] by [key.(e)],
+   a vertex in [0, n).  Each run is filled back to front, which leaves
+   [start] at the run starts. *)
+let sort_by n key m order =
   let start = Array.make (n + 1) 0 in
-  Array.iter (fun e -> start.(key.(e) + 1) <- start.(key.(e) + 1) + 1) order;
+  for k = 0 to m - 1 do
+    let v = key.(order k) in
+    start.(v) <- start.(v) + 1
+  done;
   for v = 1 to n do
     start.(v) <- start.(v) + start.(v - 1)
   done;
-  let sorted = Array.make (Array.length order) 0 in
-  Array.iter
-    (fun e ->
-      let k = key.(e) in
-      sorted.(start.(k)) <- e;
-      start.(k) <- start.(k) + 1)
-    order;
-  sorted
+  let edge = Array.make m 0 in
+  for k = m - 1 downto 0 do
+    let e = order k in
+    let v = key.(e) in
+    start.(v) <- start.(v) - 1;
+    edge.(start.(v)) <- e
+  done;
+  { start; edge }
+
+(* The edges [0, m) in (dst, src) order, grouped by [dst], and in
+   (src, dst) order, grouped by [src]: each vertex's predecessors and
+   successors, sorted.  The sorts are stable, so equal pairs stay in
+   input order. *)
+let orders n ~src ~dst m =
+  let by_src = sort_by n src m Fun.id in
+  let pred = sort_by n dst m (fun k -> by_src.edge.(k)) in
+  (pred, sort_by n src m (fun k -> pred.edge.(k)))
+
+(* One cycle among the vertices Kahn's algorithm left over.  Each of
+   them still has a leftover predecessor (its in-degree never reached
+   0), so walking first leftover predecessors from the smallest one must
+   revisit a vertex; the walk between the two visits, read backwards, is
+   a cycle.  It comes out in edge order, each vertex once, rotated to
+   start at its smallest vertex. *)
+let leftover_cycle ~src ~pred indegree =
+  let leftover v = indegree.(v) > 0 in
+  let rec first_pred k =
+    let u = src.(pred.edge.(k)) in
+    if leftover u then u else first_pred (k + 1)
+  in
+  let step = Array.make (Array.length indegree) (-1) in
+  (* [path] holds the vertices walked so far, latest first *)
+  let rec walk v i path =
+    if step.(v) >= 0 then List.filteri (fun j _ -> j < i - step.(v)) path
+    else begin
+      step.(v) <- i;
+      walk (first_pred pred.start.(v)) (i + 1) (v :: path)
+    end
+  in
+  let rec first v = if leftover v then v else first (v + 1) in
+  let cycle = walk (first 0) 0 [] in
+  let low = List.fold_left min max_int cycle in
+  let rec rotate before = function
+    | v :: _ as rest when v = low -> rest @ List.rev before
+    | v :: rest -> rotate (v :: before) rest
+    | [] -> List.rev before
+  in
+  rotate [] cycle
+
+(* Kahn's algorithm (FIFO, sources in increasing order, successors in
+   run order), counting [indegree] down in place: the vertices in the
+   order it reaches them, and how many it reaches. *)
+let kahn n ~dst ~succ indegree =
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
+  for v = 0 to n - 1 do
+    if indegree.(v) = 0 then begin
+      queue.(!tail) <- v;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    for k = succ.start.(v) to succ.start.(v + 1) - 1 do
+      let w = dst.(succ.edge.(k)) in
+      indegree.(w) <- indegree.(w) - 1;
+      if indegree.(w) = 0 then begin
+        queue.(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
+  (queue, !tail)
+
+(* Only the successor runs matter to whether Kahn's algorithm reaches
+   every vertex, so the predecessor runs are sorted for the walk only
+   when it does not. *)
+let find_cycle ~n ~src ~dst =
+  let m = Array.length src in
+  let indegree = Array.make n 0 in
+  Array.iter (fun d -> indegree.(d) <- indegree.(d) + 1) dst;
+  let _, reached = kahn n ~dst ~succ:(sort_by n src m Fun.id) indegree in
+  if reached = n then None
+  else Some (leftover_cycle ~src ~pred:(fst (orders n ~src ~dst m)) indegree)
 
 let of_arrays ~n ~src ~dst ~weight =
   if n < 0 then invalid_arg "Dag.of_arrays: negative size";
@@ -97,37 +128,33 @@ let of_arrays ~n ~src ~dst ~weight =
     if e = m || out_of_range e || src.(e) = dst.(e) then e else first_bad (e + 1)
   in
   let m_ok = first_bad 0 in
-  (* ... and the first repeat among the edges before it.  The edges in
-     (dst, src) and (src, dst) order; the sorts are stable, so equal
-     pairs stay in input order and a repeat is an edge equal to the one
-     before it in (src, dst) order. *)
-  let by_dst_src = sort_by n dst (sort_by n src (Array.init m_ok Fun.id)) in
-  let by_src_dst = sort_by n src by_dst_src in
+  (* ... and the first repeat among the edges before it: an edge equal
+     to the one before it in (src, dst) order. *)
+  let pred, succ = orders n ~src ~dst m_ok in
   let first_dup = ref m in
   for k = 1 to m_ok - 1 do
-    let e = by_src_dst.(k) and p = by_src_dst.(k - 1) in
+    let e = succ.edge.(k) and p = succ.edge.(k - 1) in
     if src.(e) = src.(p) && dst.(e) = dst.(p) then first_dup := min !first_dup e
   done;
   if !first_dup < m then raise (Bad_edge (!first_dup, Duplicate));
   if m_ok < m then
     raise (Bad_edge (m_ok, if out_of_range m_ok then Out_of_range else Self_loop));
-  (* Each adjacency list is built back to front from its run in the
-     matching order: it comes out sorted, and its cells are allocated
-     together, in vertex order, which is how the analysis walks them. *)
-  let succ = Array.make n [] and pred = Array.make n [] in
-  let indegree = Array.make n 0 in
+  let indegree = Array.init n (fun v -> pred.start.(v + 1) - pred.start.(v)) in
+  let topo, reached = kahn n ~dst ~succ indegree in
+  if reached < n then raise (Cycle (leftover_cycle ~src ~pred indegree));
+  (* Each adjacency list is built back to front from its run: it comes
+     out sorted, and its cells are allocated together, in vertex order,
+     which is how the analysis walks them. *)
+  let succs = Array.make n [] and preds = Array.make n [] in
   for k = m - 1 downto 0 do
-    let e = by_src_dst.(k) in
-    succ.(src.(e)) <- (dst.(e), weight.(e)) :: succ.(src.(e))
+    let e = succ.edge.(k) in
+    succs.(src.(e)) <- (dst.(e), weight.(e)) :: succs.(src.(e))
   done;
   for k = m - 1 downto 0 do
-    let e = by_dst_src.(k) in
-    let d = dst.(e) in
-    pred.(d) <- (src.(e), weight.(e)) :: pred.(d);
-    indegree.(d) <- indegree.(d) + 1
+    let e = pred.edge.(k) in
+    preds.(dst.(e)) <- (src.(e), weight.(e)) :: preds.(dst.(e))
   done;
-  let topo = topological_sort n succ indegree in
-  { n; succ; pred; n_edges = m; topo }
+  { n; succ = succs; pred = preds; n_edges = m; topo }
 
 let create ~n ~edges =
   if n < 0 then invalid_arg "Dag.create: negative size";

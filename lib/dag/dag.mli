@@ -11,8 +11,10 @@
 type t
 
 exception Cycle of int list
-(** Raised by {!create} when the edge set contains a cycle; the payload is
-    one offending cycle as a vertex list. *)
+(** Raised by {!create} and {!of_arrays} when the edge set contains a
+    cycle; the payload is one offending cycle, each vertex once, in edge
+    order ([[a; b; c]] is [a -> b -> c -> a]), starting at its smallest
+    vertex. *)
 
 val create : n:int -> edges:(int * int * int) list -> t
 (** [create ~n ~edges] builds a DAG with vertices [0..n-1] and edges
@@ -38,6 +40,13 @@ val of_arrays : n:int -> src:int array -> dst:int array -> weight:int array -> t
     @raise Cycle if the edges are cyclic.
     @raise Invalid_argument on a negative [n] or arrays of different
       lengths. *)
+
+val find_cycle : n:int -> src:int array -> dst:int array -> int list option
+(** One cycle of the edges [(src.(e), dst.(e))], or [None] when they
+    are acyclic.  Endpoints must lie in [\[0, n)]; repeated edges are
+    allowed, and a self loop on [v] is the cycle [[v]].  On edges
+    {!of_arrays} accepts up to the cycle, it is the one [Cycle] carries.
+    Linear in [n] plus the edge count; builds no graph. *)
 
 val n_vertices : t -> int
 val n_edges : t -> int

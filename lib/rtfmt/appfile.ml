@@ -93,8 +93,6 @@ let rec line_of text ~from ~line pos =
   | Some j when j < pos -> line_of text ~from:(j + 1) ~line:(line + 1) pos
   | _ -> line
 
-let line_at text pos = line_of text ~from:0 ~line:1 pos
-
 (* End of the word starting at [pos]: words never contain a separator,
    a newline or a comment. *)
 let rec word_stop text i n =
@@ -110,8 +108,7 @@ let word_end text pos = word_stop text pos (String.length text)
 type words = { mutable ws : int array; mutable we : int array; mutable nw : int }
 
 (* "2xr1" -> ("r1", 2); "r1" -> ("r1", 1).  Counts are not range-checked
-   here: the spec path wants to see a bad count as a diagnostic, the
-   strict path rejects it in [expand_demands]. *)
+   here: a bad count is a diagnostic of the spec phase. *)
 let parse_counted text pos stop =
   let i = index_in text pos stop 'x' in
   match if i > pos && i < stop then Some (int_in text pos i) else None with
@@ -272,8 +269,7 @@ let rec split_line text i n w =
 
 (* Tokenize the whole file into declarations.  Only syntax-level problems
    raise here; semantic ones (duplicates, cycles, bad quantities, dangling
-   edges) survive into the declarations so both the strict constructor
-   path and the diagnostic path can decide how to report them. *)
+   edges) survive into the declarations for the spec phase to judge. *)
 let scan text =
   let tasks = ref [] and shared = ref None and nodes = ref [] in
   let e_src = column () and e_dst = column () and e_msg = column () in
@@ -355,28 +351,72 @@ let slot t s pos stop =
 
 let find t s pos stop = t.ids.(slot t s pos stop)
 
-(* Adds [name -> id] unless [name] is already present; returns whether
-   it was added. *)
-let add t name id =
+(* The id of [name], adding it as [id] when absent. *)
+let intern t name id =
   let i = slot t name 0 (String.length name) in
-  t.ids.(i) < 0
-  && begin
-       t.keys.(i) <- name;
-       t.ids.(i) <- id;
-       true
-     end
+  if t.ids.(i) < 0 then begin
+    t.keys.(i) <- name;
+    t.ids.(i) <- id
+  end;
+  t.ids.(i)
 
-(* The names of the declared tasks, and the first task that redeclares
-   one. *)
-let index_names tasks =
-  let names = names_create (Array.length tasks) in
-  let redeclared = ref None in
-  Array.iteri
-    (fun i (ts : Rtlb.Validate.task_spec) ->
-      if (not (add names ts.ts_name i)) && !redeclared = None then
-        redeclared := Some ts)
-    tasks;
-  (names, !redeclared)
+(* Edge lines on demand: only diagnostics need them, and they ask in
+   edge order, so counting on from the previous answer reads the text
+   about once. *)
+let edge_line d =
+  let from = ref 0 and line = ref 1 in
+  fun e ->
+    let pos = d.e_src.(e) in
+    if pos < !from then begin
+      from := 0;
+      line := 1
+    end;
+    line := line_of d.text ~from:!from ~line:!line pos;
+    from := pos;
+    Some !line
+
+(* The declarations keyed by int, and the table of task names.  An edge
+   endpoint resolves against the table without being copied; an
+   undeclared name (only in a broken file) gets an id from [n] up. *)
+let resolve d =
+  let tasks = d.tasks and text = d.text in
+  let n = Array.length tasks in
+  let names = names_create n in
+  let first =
+    Array.mapi
+      (fun i (ts : Rtlb.Validate.task_spec) -> intern names ts.ts_name i)
+      tasks
+  in
+  let undeclared = Hashtbl.create 8 and extra = ref [] in
+  let id pos =
+    let stop = word_end text pos in
+    match find names text pos stop with
+    | -1 -> (
+        let name = sub text pos stop in
+        match Hashtbl.find_opt undeclared name with
+        | Some i -> i
+        | None ->
+            let i = n + Hashtbl.length undeclared in
+            Hashtbl.add undeclared name i;
+            extra := name :: !extra;
+            i)
+    | i -> i
+  in
+  let m = d.n_edges in
+  let src = Array.init m (fun e -> id d.e_src.(e)) in
+  let dst = Array.init m (fun e -> id d.e_dst.(e)) in
+  let r =
+    {
+      Rtlb.Validate.r_tasks = tasks;
+      r_first = first;
+      r_src = src;
+      r_dst = dst;
+      r_message = Array.sub d.e_msg 0 m;
+      r_line = edge_line d;
+      r_undeclared = Array.of_list (List.rev !extra);
+    }
+  in
+  (names, r)
 
 (* ---------------- construction ---------------- *)
 
@@ -389,142 +429,71 @@ let system_of d =
       try Some (Rtlb.System.dedicated (List.map snd nodes))
       with Invalid_argument m -> fail 0 "%s" m)
 
-(* Repeat each resource name [units] times, the form Task.make expects. *)
-let expand_demands (ts : Rtlb.Validate.task_spec) line =
-  List.concat_map
-    (fun (r, k) ->
-      if k < 1 then fail line "task %s: zero resource units" ts.ts_name;
-      List.init k (fun _ -> r))
-    ts.ts_demands
+let is_periodic (r : Rtlb.Validate.resolved) =
+  Array.exists
+    (fun (ts : Rtlb.Validate.task_spec) -> ts.ts_period <> None)
+    r.r_tasks
 
-let line_of_task (ts : Rtlb.Validate.task_spec) =
-  Option.value ts.ts_line ~default:0
-
-(* The application of the declarations, failing at the first problem in
-   the order the checks have always run: duplicate task names, then the
-   first bad edge in file order (unknown endpoint, self loop, repeat),
-   then per-task errors, negative messages and cycles. *)
-let build_app d =
-  let tasks = d.tasks and text = d.text in
-  let n = Array.length tasks in
-  let names, redeclared = index_names tasks in
-  Option.iter
-    (fun (ts : Rtlb.Validate.task_spec) ->
-      fail (line_of_task ts) "duplicate task name %s" ts.ts_name)
-    redeclared;
-  let resolve pos = find names text pos (word_end text pos) in
-  let m = d.n_edges in
-  let src = Array.init m (fun e -> resolve d.e_src.(e)) in
-  let dst = Array.init m (fun e -> resolve d.e_dst.(e)) in
-  let weight = Array.sub d.e_msg 0 m in
-  let ename pos = sub text pos (word_end text pos) in
-  let graph =
-    match Dag.of_arrays ~n ~src ~dst ~weight with
-    | g -> Ok g
-    | exception Dag.Cycle ids -> Error ids
-    | exception Dag.Bad_edge (e, kind) -> (
-        let line = line_at text d.e_src.(e) in
-        match kind with
-        | Dag.Out_of_range ->
-            fail line "edge: unknown task %s"
-              (ename (if src.(e) < 0 then d.e_src.(e) else d.e_dst.(e)))
-        | Dag.Self_loop ->
-            fail line "edge: self loop on task %s" (ename d.e_src.(e))
-        | Dag.Duplicate ->
-            fail line "duplicate edge %s -> %s" (ename d.e_src.(e))
-              (ename d.e_dst.(e)))
+(* The application of declarations the spec phase accepted, so the
+   constructors' own checks cannot fail.  Only periodic unrolling can
+   still refuse them (an overflowing hyperperiod). *)
+let build_app (r : Rtlb.Validate.resolved) =
+  let tasks = r.r_tasks in
+  (* each resource name repeated [units] times, the form Task.make wants *)
+  let resources (ts : Rtlb.Validate.task_spec) =
+    List.concat_map (fun (res, k) -> List.init k (fun _ -> res)) ts.ts_demands
   in
-  let cycle_error ids =
-    (* Name the cycle and locate it at the earliest source line of one
-       of its edges.  [ids] may repeat its first vertex at the end. *)
-    let next = Array.make n (-1) in
-    (match ids with
-    | [] -> ()
-    | first :: _ ->
-        let rec link = function
-          | a :: (b :: _ as rest) ->
-              next.(a) <- b;
-              link rest
-          | [ last ] -> if next.(last) < 0 then next.(last) <- first
-          | [] -> ()
-        in
-        link ids);
-    (* edges are in text order, so the first one on the cycle is the
-       earliest *)
-    let rec first_on e =
-      if e = m then 0
-      else if next.(src.(e)) = dst.(e) then line_at text d.e_src.(e)
-      else first_on (e + 1)
-    in
-    let names = List.map (fun i -> tasks.(i).Rtlb.Validate.ts_name) ids in
-    fail (first_on 0) "precedence cycle: %s"
-      (String.concat " -> " (names @ [ List.hd names ]))
-  in
-  if Array.exists (fun (ts : Rtlb.Validate.task_spec) -> ts.ts_period <> None) tasks
-  then begin
-    (match
-       Array.find_opt
-         (fun (ts : Rtlb.Validate.task_spec) -> ts.ts_period = None)
-         tasks
-     with
-    | Some ts ->
-        fail (line_of_task ts)
-          "task %s: mixing periodic and one-shot tasks is not supported"
-          ts.ts_name
-    | None -> ());
+  if is_periodic r then
     let ptasks =
       Array.to_list tasks
       |> List.map (fun (ts : Rtlb.Validate.task_spec) ->
-             let line = line_of_task ts in
-             try
-               Rtlb.Periodic.ptask ~name:ts.ts_name
-                 ~period:(Option.get ts.ts_period) ~offset:ts.ts_release
-                 ~compute:ts.ts_compute ~deadline:ts.ts_deadline
-                 ~proc:ts.ts_proc ~resources:(expand_demands ts line)
-                 ~preemptive:ts.ts_preemptive ()
-             with Invalid_argument m -> fail line "task %s: %s" ts.ts_name m)
+             Rtlb.Periodic.ptask ~name:ts.ts_name
+               ~period:(Option.get ts.ts_period) ~offset:ts.ts_release
+               ~compute:ts.ts_compute ~deadline:ts.ts_deadline ~proc:ts.ts_proc
+               ~resources:(resources ts) ~preemptive:ts.ts_preemptive ())
     in
     let name i = tasks.(i).Rtlb.Validate.ts_name in
-    let pedges =
-      List.init m (fun e -> (name src.(e), name dst.(e), weight.(e)))
+    let edges =
+      List.init (Array.length r.r_src) (fun e ->
+          (name r.r_src.(e), name r.r_dst.(e), r.r_message.(e)))
     in
-    match Rtlb.Periodic.unroll ~tasks:ptasks ~edges:pedges () with
-    | app -> app
-    | exception Invalid_argument m -> fail 0 "%s" m
-    | exception Dag.Cycle _ -> fail 0 "precedence cycle in task graph"
-  end
-  else begin
+    try Rtlb.Periodic.unroll ~tasks:ptasks ~edges ()
+    with Invalid_argument m -> fail 0 "%s" m
+  else
     let tasks =
       Array.mapi
         (fun i (ts : Rtlb.Validate.task_spec) ->
-          let line = line_of_task ts in
-          try
-            Rtlb.Task.make ~id:i ~name:ts.ts_name ~compute:ts.ts_compute
-              ~release:ts.ts_release ~deadline:ts.ts_deadline ~proc:ts.ts_proc
-              ~resources:(expand_demands ts line) ~preemptive:ts.ts_preemptive ()
-          with Invalid_argument m -> fail line "task %s: %s" ts.ts_name m)
+          Rtlb.Task.make ~id:i ~name:ts.ts_name ~compute:ts.ts_compute
+            ~release:ts.ts_release ~deadline:ts.ts_deadline ~proc:ts.ts_proc
+            ~resources:(resources ts) ~preemptive:ts.ts_preemptive ())
         tasks
     in
-    match graph with
-    | Ok g -> (
-        try Rtlb.App.of_graph ~tasks g with Invalid_argument m -> fail 0 "%s" m)
-    | Error ids ->
-        (* A negative message outranks a cycle, as in [App.make]. *)
-        if Array.exists (fun m -> m < 0) weight then
-          fail 0 "App.make: negative message size";
-        cycle_error ids
-  end
+    Rtlb.App.of_graph ~tasks
+      (Dag.of_arrays ~n:(Array.length tasks) ~src:r.r_src ~dst:r.r_dst
+         ~weight:r.r_message)
 
-(* The strict path enforces the magnitude contract on the constructed
-   instance (periodic files after unrolling), so no engine ever sees an
-   input whose arithmetic could wrap. *)
+(* A diagnostic as the strict path reports it: its line, and the line
+   [rtlb check] prints without the [FILE:LINE:] prefix. *)
+let reject (d : Rtlb.Validate.diag) =
+  raise
+    (Parse_error
+       ( Option.value d.d_line ~default:0,
+         Rtlb.Validate.to_string { d with d_line = None } ))
+
+(* The spec phase judges the declarations, so the strict path rejects
+   exactly what [check] reports, at its first error; periodic files are
+   held to the magnitude contract once unrolled. *)
 let parse text =
   let d = scan text in
-  let app = build_app d in
-  let t = { app; system = system_of d } in
-  match Rtlb.Validate.check_magnitude ~system:t.system t.app with
-  | None -> t
-  | Some d -> fail 0 "%s %s" d.Rtlb.Validate.d_code d.Rtlb.Validate.d_message
+  let system = system_of d in
+  let _, r = resolve d in
+  Rtlb.Validate.check_resolved ~system r
+  |> List.find_opt (fun (g : Rtlb.Validate.diag) -> g.d_severity = Error)
+  |> Option.iter reject;
+  let app = build_app r in
+  if is_periodic r then
+    Option.iter reject (Rtlb.Validate.check_magnitude ~system app);
+  { app; system }
 
 let read_file path =
   let ic = open_in_bin path in
@@ -553,35 +522,12 @@ let e100 line m =
     d_line = (if line > 0 then Some line else None);
   }
 
-let edge_specs d =
-  let name pos = sub d.text pos (word_end d.text pos) in
-  let specs = ref [] and from = ref 0 and line = ref 1 in
-  for e = 0 to d.n_edges - 1 do
-    let pos = d.e_src.(e) in
-    line := line_of d.text ~from:!from ~line:!line pos;
-    from := pos;
-    specs :=
-      {
-        Rtlb.Validate.es_src = name pos;
-        es_dst = name d.e_dst.(e);
-        es_message = d.e_msg.(e);
-        es_line = Some !line;
-      }
-      :: !specs
-  done;
-  List.rev !specs
-
 let check { decls = d; spec_system } =
-  let diags =
-    Rtlb.Validate.check_spec ~system:spec_system ~tasks:(Array.to_list d.tasks)
-      ~edges:(edge_specs d)
-  in
+  let names, r = resolve d in
+  let diags = Rtlb.Validate.check_resolved ~system:spec_system r in
   if Rtlb.Validate.has_errors diags then diags
   else
-    (* The spec phase found nothing fatal, so the strict build is expected
-       to succeed; anything it still rejects surfaces as E100 rather than
-       an exception. *)
-    match build_app d with
+    match build_app r with
     | app ->
         let system =
           match spec_system with
@@ -590,7 +536,6 @@ let check { decls = d; spec_system } =
               Rtlb.System.shared_uniform
                 ~resources:(Rtlb.App.resource_set app)
         in
-        let names, _ = index_names d.tasks in
         let line_of name =
           (* Periodic unrolling names jobs "t@k"; report the line of the
              declaring task. *)
@@ -615,7 +560,6 @@ let check { decls = d; spec_system } =
             | None, None -> 0)
           all
     | exception Parse_error (l, m) -> diags @ [ e100 l m ]
-    | exception e -> diags @ [ e100 0 (Printexc.to_string e) ]
 
 let to_string ?system app =
   let buf = Buffer.create 512 in

@@ -28,16 +28,18 @@ exception Parse_error of int * string
 (** Line number (1-based) and message. *)
 
 val parse : string -> t
-(** Parse the full text of an application file.
-    @raise Parse_error on malformed input — a repeated key included, and
-      semantic problems
-      (duplicate task names, edges between undeclared tasks, self loops,
-      duplicate edges, precedence cycles), each located at the offending
-      source line.  Never raises [Dag.Cycle] or [Invalid_argument].
-      Also raises (at line 0, message starting ["E107"]) when the
-      instance breaks the magnitude contract
-      ({!Rtlb.Validate.check_magnitude}), so every command that analyses
-      a file refuses inputs whose integer arithmetic could wrap. *)
+(** Parse the full text of an application file.  The declarations go
+    through the same spec phase as {!check}, so [parse] rejects exactly
+    the files [check] reports an error for (other than an EST/LCT-phase
+    [E102], which the analysis reports as an infeasible window).
+    @raise Parse_error on a syntax error (a repeated key included), with
+      the message {!check} shows as [E100]; otherwise at the first error
+      of the spec phase in source order, as [(line, "CODE subject:
+      message")] — the line [rtlb check] prints, without its [FILE:LINE:]
+      prefix, and line 0 when the diagnostic has no line.  A periodic
+      file is also held to the magnitude contract once unrolled
+      ([E107]), and an unrolling that fails is an [E100] message.  Never
+      raises [Dag.Cycle] or [Invalid_argument]. *)
 
 val parse_file : string -> t
 (** @raise Parse_error and [Sys_error]. *)
@@ -63,13 +65,18 @@ val parse_spec_file : string -> spec
 (** @raise Parse_error and [Sys_error]. *)
 
 val check : spec -> Rtlb.Validate.diag list
-(** {!Rtlb.Validate.check_spec} over the declarations; when that finds no
-    errors, the application is built from the same declarations (the
-    text is not read again) and {!Rtlb.Validate.check_windows}
-    appends the EST/LCT-phase diagnostics (with source lines; unrolled
-    periodic jobs [t@k] report the line of the declaring task).  Anything
-    the strict parse still rejects becomes an [E100] diagnostic — this
-    function never raises on any input [parse_spec] accepts. *)
+(** {!Rtlb.Validate.check_resolved} over the declarations, their names
+    resolved by int; when that finds no errors, the application is built
+    from the same declarations (the text is not read again) and
+    {!Rtlb.Validate.check_windows} appends the EST/LCT-phase diagnostics
+    (with source lines; unrolled periodic jobs [t@k] report the line of
+    the declaring task).  An unrolling that fails becomes an [E100]
+    diagnostic — this function never raises on any input [parse_spec]
+    accepts. *)
+
+val e100 : int -> string -> Rtlb.Validate.diag
+(** [e100 line message]: the [E100] diagnostic of a [Parse_error (line,
+    message)] (or of a file that cannot be read); line 0 is none. *)
 
 val to_string : ?system:Rtlb.System.t -> Rtlb.App.t -> string
 (** Render an application (and optionally a system) in the same format;

@@ -123,17 +123,7 @@ let prepare (req : Protocol.request) =
   | Protocol.Check -> (
       try Ok (P_check (Rtfmt.Appfile.check (Rtfmt.Appfile.parse_spec req.app)))
       with Rtfmt.Appfile.Parse_error (l, m) ->
-        Ok
-          (P_check
-             [
-               {
-                 Rtlb.Validate.d_code = "E100";
-                 d_severity = Rtlb.Validate.Error;
-                 d_subject = "application";
-                 d_message = m;
-                 d_line = (if l > 0 then Some l else None);
-               };
-             ]))
+        Ok (P_check [ Rtfmt.Appfile.e100 l m ]))
   | Protocol.Analyze | Protocol.Whatif | Protocol.Sensitivity -> (
       try
         let { Rtfmt.Appfile.app; system } = Rtfmt.Appfile.parse req.app in

@@ -27,10 +27,17 @@ let invalid_inputs () =
       ignore (Dag.create ~n:2 ~edges:[ (0, 5, 1) ]))
 
 let cycle_detection () =
-  match Dag.create ~n:3 ~edges:[ (0, 1, 0); (1, 2, 0); (2, 0, 0) ] with
-  | exception Dag.Cycle cycle ->
-      check_bool "cycle non-trivial" true (List.length cycle >= 3)
-  | _ -> Alcotest.fail "expected cycle"
+  let cycle_of edges =
+    match Dag.create ~n:3 ~edges with
+    | exception Dag.Cycle cycle -> cycle
+    | _ -> Alcotest.fail "expected cycle"
+  in
+  check_int_list "the whole triangle, once each" [ 0; 1; 2 ]
+    (cycle_of [ (0, 1, 0); (1, 2, 0); (2, 0, 0) ]);
+  (* 0 is left over by Kahn's algorithm but lies on no cycle: the walk
+     must close 1 <-> 2, not end at 0 *)
+  check_int_list "a leftover vertex off the cycle" [ 1; 2 ]
+    (cycle_of [ (1, 2, 0); (2, 1, 0); (2, 0, 0) ])
 
 let topo_order_valid () =
   let g = diamond () in
@@ -117,6 +124,21 @@ let of_arrays_matches_reference (n, edges) =
     in
     strip (List.init n Fun.id) edges
   in
+  (* distinct vertices, from the smallest, each joined to the next and
+     the last to the first *)
+  let is_cycle = function
+    | [] -> false
+    | first :: _ as cycle ->
+        let edge a b = List.exists (fun (s, d, _) -> s = a && d = b) edges in
+        let rec joined = function
+          | a :: (b :: _ as rest) -> edge a b && joined rest
+          | [ last ] -> edge last first
+          | [] -> true
+        in
+        List.length (List.sort_uniq compare cycle) = List.length cycle
+        && first = List.fold_left min first cycle
+        && joined cycle
+  in
   let src_of (s, _, _) = s and dst_of (_, d, _) = d and weight_of (_, _, w) = w in
   let adjacent key other v =
     List.filter_map
@@ -128,6 +150,7 @@ let of_arrays_matches_reference (n, edges) =
   | g ->
       first_bad = None
       && (not (cyclic ()))
+      && Dag.find_cycle ~n ~src ~dst = None
       && Dag.n_edges g = List.length edges
       && List.for_all
            (fun v ->
@@ -135,7 +158,9 @@ let of_arrays_matches_reference (n, edges) =
              && Dag.preds g v = adjacent dst_of src_of v)
            (List.init n Fun.id)
   | exception Dag.Bad_edge (e, kind) -> first_bad = Some (e, kind)
-  | exception Dag.Cycle _ -> first_bad = None && cyclic ()
+  | exception Dag.Cycle cycle ->
+      first_bad = None && cyclic () && is_cycle cycle
+      && Dag.find_cycle ~n ~src ~dst = Some cycle
 
 let prop_tests =
   [

@@ -250,7 +250,12 @@ let isolation () =
                );
              ])
       in
-      check_bool "unhostable app is a structured error" false (is_ok unhostable);
+      check_string "unhostable app -> S302" "S302" (error_code unhostable);
+      check_string "S302 carries check's E103 at line 1"
+        "line 1: E103 task T1: no node type provides processor 'P1'"
+        (match Json.member "message" (Json.member "error" unhostable) with
+        | Json.Str m -> m
+        | _ -> "");
       (* magnitudes whose arithmetic would wrap: refused at parse time *)
       let wrapping =
         "task A compute=2305843009213693951 deadline=4611686018427387903 proc=P\n\

@@ -179,9 +179,9 @@ let parse_located_errors () =
     "task a compute=1 deadline=9 proc=P\n\
      task b compute=1 deadline=9 proc=P\n\
      task a compute=2 deadline=9 proc=P\n";
-  expect_parse_error ~line:2 ~needle:"unknown task"
+  expect_parse_error ~line:2 ~needle:"undeclared task"
     "task a compute=1 deadline=9 proc=P\nedge a ghost 0\n";
-  expect_parse_error ~line:2 ~needle:"self loop"
+  expect_parse_error ~line:2 ~needle:"self-loop"
     "task a compute=1 deadline=9 proc=P\nedge a a 0\n";
   expect_parse_error ~line:4 ~needle:"duplicate edge"
     "task a compute=1 deadline=9 proc=P\n\
@@ -201,6 +201,31 @@ let parse_cycle_is_parse_error () =
      edge a b 0\n\
      edge b c 0\n\
      edge c a 0\n"
+
+let code_proc_among_resources () =
+  (* Task.make refuses it, so the spec phase must report it, located *)
+  let src = "task a compute=1 deadline=10 proc=P res=r,P\n" in
+  let d = find_code "E104" (check_src src) in
+  Alcotest.(check (option int)) "task line" (Some 1) d.Rtlb.Validate.d_line;
+  expect_parse_error ~line:1 ~needle:"E104 task a" src
+
+let leftover_vertex_cycle () =
+  (* Kahn's algorithm leaves c over too, but c lies on no cycle: both
+     paths must name a -> b -> a, located at its first edge. *)
+  let src =
+    "task c compute=1 deadline=9 proc=P\n\
+     task a compute=1 deadline=9 proc=P\n\
+     task b compute=1 deadline=9 proc=P\n\
+     edge a b 0\n\
+     edge b a 0\n\
+     edge b c 0\n"
+  in
+  let d = find_code "E101" (check_src src) in
+  check_string "check names the cycle" "precedence cycle: a -> b -> a"
+    d.Rtlb.Validate.d_message;
+  Alcotest.(check (option int)) "check locates it" (Some 4) d.Rtlb.Validate.d_line;
+  expect_parse_error ~line:4
+    ~needle:"E101 application: precedence cycle: a -> b -> a" src
 
 (* ------------------------------------------------------------------ *)
 (* Magnitude contract (E107) and empty applications (W204)              *)
@@ -380,6 +405,109 @@ let corruptions_always_caught =
         Workload.Mutate.corruptions)
 
 (* ------------------------------------------------------------------ *)
+(* The strict parse rejects exactly what check reports                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Declarations as application-file text, with an optional system. *)
+let render_specs ?system tasks edges =
+  let task (ts : Rtlb.Validate.task_spec) =
+    Printf.sprintf "task %s compute=%d release=%d deadline=%d proc=%s%s%s%s\n"
+      ts.ts_name ts.ts_compute ts.ts_release ts.ts_deadline ts.ts_proc
+      (match ts.ts_period with
+      | Some p -> Printf.sprintf " period=%d" p
+      | None -> "")
+      (match ts.ts_demands with
+      | [] -> ""
+      | ds ->
+          " res="
+          ^ String.concat ","
+              (List.map (fun (r, k) -> Printf.sprintf "%dx%s" k r) ds))
+      (if ts.ts_preemptive then " preemptive" else "")
+  in
+  let edge (e : Rtlb.Validate.edge_spec) =
+    Printf.sprintf "edge %s %s %d\n" e.es_src e.es_dst e.es_message
+  in
+  String.concat "" (List.map task tasks @ List.map edge edges)
+  ^
+  match system with
+  | None -> ""
+  | Some system ->
+      Rtfmt.Appfile.to_string ~system (Rtlb.App.make ~tasks:[] ~edges:[])
+
+(* What [parse] must raise for [text]: a syntax error's own message, or
+   the first error [check] reports other than an EST/LCT-phase E102, as
+   (line, "CODE subject: message"); [None] when it must accept. *)
+let expected_rejection text =
+  match Rtfmt.Appfile.parse_spec text with
+  | exception Rtfmt.Appfile.Parse_error (l, m) -> Some (l, m)
+  | spec ->
+      Rtfmt.Appfile.check spec
+      |> List.find_opt (fun (d : Rtlb.Validate.diag) ->
+             d.d_severity = Rtlb.Validate.Error
+             && not
+                  (d.d_code = "E102"
+                  && string_contains ~needle:"EST/LCT window" d.d_message))
+      |> Option.map (fun (d : Rtlb.Validate.diag) ->
+             ( Option.value d.d_line ~default:0,
+               Rtlb.Validate.to_string { d with d_line = None } ))
+
+let parse_agrees text =
+  let got =
+    match Rtfmt.Appfile.parse text with
+    | _ -> None
+    | exception Rtfmt.Appfile.Parse_error (l, m) -> Some (l, m)
+  in
+  let show = function
+    | None -> "accepted"
+    | Some (l, m) -> Printf.sprintf "line %d: %s" l m
+  in
+  got = expected_rejection text
+  || QCheck.Test.fail_reportf "parse: %s\ncheck: %s\non:\n%s" (show got)
+       (show (expected_rejection text))
+       text
+
+(* Several corruptions of one base at once.  Each corruption rewrites
+   some declarations in place and appends others, so the changes merge
+   position by position, the later corruption winning. *)
+let merge_corruptions base corrupted =
+  let merge base versions =
+    let n = List.length base in
+    List.mapi
+      (fun i x ->
+        List.fold_left
+          (fun acc v -> if List.nth v i <> x then List.nth v i else acc)
+          x versions)
+      base
+    @ List.concat_map (List.filteri (fun i _ -> i >= n)) versions
+  in
+  let tasks, edges = base in
+  (merge tasks (List.map fst corrupted), merge edges (List.map snd corrupted))
+
+let parse_rejects_what_check_reports =
+  qtest ~count:500 "parse raises iff check reports an error, with its line"
+    QCheck.(pair (arb_instance ()) (int_bound 63))
+    (fun (i, mask) ->
+      let systems = [ None; Some (shared_of i); Some (dedicated_of i) ] in
+      let corrupted =
+        List.filter_map (Workload.Mutate.corrupt i.app) Workload.Mutate.corruptions
+      in
+      let several =
+        merge_corruptions
+          (Rtlb.Validate.spec_of_app i.app)
+          (List.filteri (fun k _ -> mask land (1 lsl k) <> 0) corrupted)
+      in
+      let spec_texts =
+        List.map
+          (fun (tasks, edges) system -> render_specs ?system tasks edges)
+          (several :: corrupted)
+      in
+      List.for_all
+        (fun system ->
+          parse_agrees (Rtfmt.Appfile.to_string ?system i.app)
+          && List.for_all (fun text -> parse_agrees (text system)) spec_texts)
+        systems)
+
+(* ------------------------------------------------------------------ *)
 (* Appfile round-trip, including systems                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -437,6 +565,8 @@ let suite =
           code_dangling_proc;
         Alcotest.test_case "E104 negative quantities" `Quick
           code_negative_quantity;
+        Alcotest.test_case "E104 processor among its resources" `Quick
+          code_proc_among_resources;
         Alcotest.test_case "E105 duplicate task" `Quick code_duplicate_task;
         Alcotest.test_case "E105 duplicate edge" `Quick code_duplicate_edge;
         Alcotest.test_case "E106 mixed periodic/one-shot" `Quick
@@ -454,6 +584,9 @@ let suite =
           parse_located_errors;
         Alcotest.test_case "cycles are Parse_error, not Dag.Cycle" `Quick
           parse_cycle_is_parse_error;
+        Alcotest.test_case "a leftover vertex off the cycle is not named"
+          `Quick leftover_vertex_cycle;
+        parse_rejects_what_check_reports;
         spec_phase_accepts_valid;
         check_agrees_with_feasibility;
         corruptions_always_caught;
